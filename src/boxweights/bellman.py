@@ -30,7 +30,7 @@ from .characteristics import characteristic, pair_gauge
 from .errors import CandidateDomainError, PreconditionError
 from .exponents import ClassKind, PParam, _as_pparam, r_is_admissible
 from .grids import GridMeasure, WeightGrid, refine
-from .splitting import AvgPoint, segment_max
+from .splitting import DEFAULT_SEGMENT_SAMPLES, AvgPoint, segment_max
 
 DEFAULT_VERIFY_SEGMENTS = 200
 DEFAULT_VERIFY_TOL = 1e-9
@@ -263,47 +263,31 @@ def write_candidate(path, cand: BellmanCandidate) -> None:
 
 
 def read_candidate(path) -> BellmanCandidate:
-    from .grids import _parse_float, _tokenize
+    from .grids import _parse_float, _TokenReader
 
-    with open(path, "r") as handle:
-        toks = list(_tokenize(handle.read()))
-    pos = 0
-
-    def take(n=1):
-        nonlocal pos
-        if pos + n > len(toks):
-            raise PreconditionError(f"truncated candidate file {path}")
-        out = toks[pos : pos + n]
-        pos += n
-        return out
-
-    def expect(keyword):
-        got = take()[0]
-        if got != keyword:
-            raise PreconditionError(f"expected '{keyword}' in {path}, found '{got}'")
-
-    expect("candidate")
-    if take()[0] != "1":
+    tok = _TokenReader(path, "candidate")
+    tok.expect("candidate")
+    if tok.take()[0] != "1":
         raise PreconditionError(f"unsupported candidate format version in {path}")
-    expect("class")
-    kind = ClassKind(take()[0])
-    expect("p")
-    p = PParam(_parse_float(take()[0]))
-    expect("r")
-    r = _parse_float(take()[0])
-    expect("Q")
-    Q = _parse_float(take()[0])
-    expect("x1grid")
-    n1 = int(take()[0])
-    xi0, xi1 = (_parse_float(t) for t in take(2))
-    expect("x2grid")
-    n2 = int(take()[0])
-    eta0, eta1 = (_parse_float(t) for t in take(2))
-    expect("values")
-    count = int(take()[0])
+    tok.expect("class")
+    kind = ClassKind(tok.take()[0])
+    tok.expect("p")
+    p = PParam(_parse_float(tok.take()[0]))
+    tok.expect("r")
+    r = _parse_float(tok.take()[0])
+    tok.expect("Q")
+    Q = _parse_float(tok.take()[0])
+    tok.expect("x1grid")
+    n1 = int(tok.take()[0])
+    xi0, xi1 = (_parse_float(t) for t in tok.take(2))
+    tok.expect("x2grid")
+    n2 = int(tok.take()[0])
+    eta0, eta1 = (_parse_float(t) for t in tok.take(2))
+    tok.expect("values")
+    count = int(tok.take()[0])
     if count != n1 * n2:
         raise PreconditionError(f"candidate value count mismatch in {path}")
-    values = np.array([_parse_float(t) for t in take(count)]).reshape(n1, n2)
+    values = np.array([_parse_float(t) for t in tok.take(count)]).reshape(n1, n2)
     table = CandidateTable(
         xi=np.linspace(xi0, xi1, n1), eta=np.linspace(eta0, eta1, n2), values=values
     )
@@ -358,7 +342,7 @@ def verify_candidate(
     rel_tol: float = DEFAULT_VERIFY_TOL,
     x1_range: tuple[float, float] = DEFAULT_X1_RANGE,
     boundary_points: int = DEFAULT_BOUNDARY_POINTS,
-    segment_samples: int = 257,
+    segment_samples: int = DEFAULT_SEGMENT_SAMPLES,
 ) -> VerificationReport:
     """Check segment concavity, boundary values and growth of a candidate.
 

@@ -15,8 +15,9 @@ prefix-table queries, so the scan is exact over the finite box family and
 bit-for-bit reproducible by the naive per-box summation oracle below.
 
 Ties in the argmax break to the lexicographically smallest index tuple
-(a1, b1, a2, b2, ...); enumeration visits boxes in that order and only a
-strictly larger value replaces the incumbent.
+(a1, b1, a2, b2, ...).  The scan takes the first maximum of each row of
+boxes in that order, and a row's maximum replaces the incumbent when it is
+larger, or equal with a lexicographically smaller box.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from ._summation import dd_sub, dd_sub_rounded
 from .errors import PreconditionError
 from .exponents import ClassKind, _as_pparam
-from .grids import BoxIdx, GridMeasure, PrefixTables, WeightGrid, validate
+from .grids import BoxIdx, GridMeasure, PrefixTables, WeightGrid, moment_cells, validate
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,9 @@ class CharacteristicReport:
     """Result of a characteristic scan.
 
     value is the supremum over positive-measure boxes (>= 1 always, +inf if
-    a moment cell overflowed); argmax_box attains it; boxes_scanned counts
-    the positive-measure boxes examined (0 for the overflow short-circuit).
+    a moment cell overflowed and centring w by a power of two does not
+    recover every cell); argmax_box attains it; boxes_scanned counts the
+    positive-measure boxes examined (0 for the overflow short-circuit).
     """
 
     kind: ClassKind
@@ -89,6 +91,10 @@ def characteristic(
         tables.ensure(1.0)
         tables.ensure(s2)
 
+    scan_weight = _scan_weight(measure.mass, weight, s2, tables.cells)
+    if scan_weight is not weight:
+        tables = PrefixTables(measure, scan_weight, (1.0, s2))
+
     bad = tables.first_nonfinite_cell(s2)
     if bad is not None:
         return CharacteristicReport(
@@ -99,11 +105,36 @@ def characteristic(
             boxes_scanned=0,
         )
 
-    scan = {1: _scan_1d, 2: _scan_2d, 3: _scan_3d}[measure.ndim]
-    value, box, count = scan(tables, kind, q, s2)
+    value, box, count = _scan(tables, kind, q, s2)
     return CharacteristicReport(
         kind=kind, exponent=q, value=value, argmax_box=box, boxes_scanned=count
     )
+
+
+def _scan_weight(mass, weight, s2, cells):
+    """The weight to scan: w, or w times the power of two that centres it on 1.
+
+    Both characteristics are invariant under w -> c*w.  When a positive-mass
+    moment cell (``cells(s)`` for s in 1 and s2) is 0 or non-finite and the
+    centred weight (scaled with ldexp) loses none, the centred weight
+    is scanned; otherwise w is kept, so a scale that cannot recover every
+    cell never turns a finite supremum into +inf.
+    """
+    positive = mass > 0.0
+
+    def whole(cells):
+        return all(
+            np.all((c[positive] > 0.0) & (c[positive] < math.inf)) for c in map(cells, (1.0, s2))
+        )
+
+    if whole(cells):
+        return weight
+    w = weight.values[positive]
+    shift = round(-0.5 * (math.log2(w.min()) + math.log2(w.max())))
+    with np.errstate(over="ignore", under="ignore"):
+        # zero-mass cells contribute 0 whatever their weight
+        centred = np.where(positive, np.ldexp(weight.values, shift), 1.0)
+    return WeightGrid(centred) if whole(lambda s: moment_cells(mass, centred, s)) else weight
 
 
 def ap_characteristic(measure, weight, p, tables=None) -> CharacteristicReport:
@@ -144,9 +175,11 @@ def q_scan(measure, weight, kind: ClassKind, q_list, tables=None) -> list[ScanEn
 
 
 # ----------------------------------------------------------------------
-# Scan engines.  Per-box values use only IEEE +-*/ and a single libm pow
-# so the vectorized path and the scalar oracle produce identical doubles
-# from identical box sums.
+# Scan engine.  The leading axes are reduced, one first-axis start a1 at a
+# time, to a stack of last-axis prefix columns, one column per leading
+# range; a single 1-D row kernel then scans every column at once.  Per-box
+# values use only IEEE +-*/ and a single libm pow so the vectorized path and
+# the scalar oracle produce identical doubles from identical box sums.
 # ----------------------------------------------------------------------
 
 
@@ -168,95 +201,58 @@ def _scalar_value(kind, q, m, sw, ss):
     return float(np.power(np.float64(ss / m), 1.0 / q) / (sw / m))
 
 
-def _scan_1d(tables, kind, q, s2):
-    mh, ml = tables.mass_table
-    wh, wl = tables.table(1.0)
-    sh, sl = tables.table(s2)
-    n = mh.size - 1
+def _scan(tables, kind, q, s2):
+    tabs = (tables.mass_table, tables.table(1.0), tables.table(s2))
+    ext = tabs[0][0].shape  # cells + 1 per axis
     best = -math.inf
     best_box = None
     count = 0
-    for a in range(n):
-        m = dd_sub_rounded(mh[a + 1 :], ml[a + 1 :], mh[a], ml[a])
-        sw = dd_sub_rounded(wh[a + 1 :], wl[a + 1 :], wh[a], wl[a])
-        ss = dd_sub_rounded(sh[a + 1 :], sl[a + 1 :], sh[a], sl[a])
-        vals = _vec_values(kind, q, m, sw, ss)
-        count += int(np.count_nonzero(m > 0.0))
-        i = int(np.argmax(vals))
-        v = float(vals[i])
-        if v > best:
-            best = v
-            best_box = BoxIdx(((a, a + 1 + i),))
-    return best, best_box, count
-
-
-def _scan_2d(tables, kind, q, s2):
-    mh, ml = tables.mass_table
-    wh, wl = tables.table(1.0)
-    sh, sl = tables.table(s2)
-    n1 = mh.shape[0] - 1
-    best = -math.inf
-    best_box = None
-    count = 0
-    for a1 in range(n1):
-        for b1 in range(a1 + 1, n1 + 1):
-            # Column prefix sums restricted to rows [a1, b1), kept in dd.
-            tm = dd_sub(mh[b1], ml[b1], mh[a1], ml[a1])
-            tw = dd_sub(wh[b1], wl[b1], wh[a1], wl[a1])
-            ts = dd_sub(sh[b1], sl[b1], sh[a1], sl[a1])
-            n2 = tm[0].size - 1
-            for a2 in range(n2):
-                m = dd_sub_rounded(tm[0][a2 + 1 :], tm[1][a2 + 1 :], tm[0][a2], tm[1][a2])
-                sw = dd_sub_rounded(tw[0][a2 + 1 :], tw[1][a2 + 1 :], tw[0][a2], tw[1][a2])
-                ss = dd_sub_rounded(ts[0][a2 + 1 :], ts[1][a2 + 1 :], ts[0][a2], ts[1][a2])
-                vals = _vec_values(kind, q, m, sw, ss)
-                count += int(np.count_nonzero(m > 0.0))
-                i = int(np.argmax(vals))
-                v = float(vals[i])
-                if v > best:
-                    best = v
-                    best_box = BoxIdx(((a1, b1), (a2, a2 + 1 + i)))
-    return best, best_box, count
-
-
-def _scan_3d(tables, kind, q, s2):
-    mh, ml = tables.mass_table
-    wh, wl = tables.table(1.0)
-    sh, sl = tables.table(s2)
-    n1 = mh.shape[0] - 1
-    best = -math.inf
-    best_box = None
-    count = 0
-    for a1 in range(n1):
-        for b1 in range(a1 + 1, n1 + 1):
-            sm = dd_sub(mh[b1], ml[b1], mh[a1], ml[a1])
-            sw2 = dd_sub(wh[b1], wl[b1], wh[a1], wl[a1])
-            ss2 = dd_sub(sh[b1], sl[b1], sh[a1], sl[a1])
-            n2 = sm[0].shape[0] - 1
-            for a2 in range(n2):
-                for b2 in range(a2 + 1, n2 + 1):
-                    lm = dd_sub(sm[0][b2], sm[1][b2], sm[0][a2], sm[1][a2])
-                    lw = dd_sub(sw2[0][b2], sw2[1][b2], sw2[0][a2], sw2[1][a2])
-                    ls = dd_sub(ss2[0][b2], ss2[1][b2], ss2[0][a2], ss2[1][a2])
-                    n3 = lm[0].size - 1
-                    for a3 in range(n3):
-                        m = dd_sub_rounded(lm[0][a3 + 1 :], lm[1][a3 + 1 :], lm[0][a3], lm[1][a3])
-                        sw = dd_sub_rounded(lw[0][a3 + 1 :], lw[1][a3 + 1 :], lw[0][a3], lw[1][a3])
-                        ss = dd_sub_rounded(ls[0][a3 + 1 :], ls[1][a3 + 1 :], ls[0][a3], ls[1][a3])
-                        vals = _vec_values(kind, q, m, sw, ss)
-                        count += int(np.count_nonzero(m > 0.0))
-                        i = int(np.argmax(vals))
-                        v = float(vals[i])
-                        if v > best:
-                            best = v
-                            best_box = BoxIdx(((a1, b1), (a2, b2), (a3, a3 + 1 + i)))
+    for a1 in range(ext[0] - 1 if len(ext) > 1 else 1):
+        if len(ext) == 1:
+            stack, lead = tabs, [()]
+        else:
+            # Rows [a1, b1) for every b1 by broadcasting, then every (a, b)
+            # pair of each middle axis; the leading ranges stay in
+            # lexicographic order.  The stack is stored last axis first,
+            # shape (n_last + 1, K), as the 1-D tables are laid out, so the
+            # 1-D tables need no reshaping and keep a scalar broadcast
+            # partner in the row kernel.
+            stack = [dd_sub(h[a1 + 1 :], l[a1 + 1 :], h[a1], l[a1]) for h, l in tabs]
+            lead = [((a1, b1),) for b1 in range(a1 + 1, ext[0])]
+            for ax, n in enumerate(ext[1:-1], start=1):
+                ia, ib = np.triu_indices(n, k=1)
+                stack = [
+                    dd_sub(h.take(ib, ax), l.take(ib, ax), h.take(ia, ax), l.take(ia, ax))
+                    for h, l in stack
+                ]
+                lead = [r + ((a, b),) for r in lead for a, b in zip(ia.tolist(), ib.tolist())]
+            stack = [(h.reshape(-1, ext[-1]).T, l.reshape(-1, ext[-1]).T) for h, l in stack]
+        (mh, ml), (wh, wl), (sh, sl) = stack
+        n = mh.shape[0] - 1
+        for a in range(n):
+            m = dd_sub_rounded(mh[a + 1 :], ml[a + 1 :], mh[a], ml[a])
+            sw = dd_sub_rounded(wh[a + 1 :], wl[a + 1 :], wh[a], wl[a])
+            ss = dd_sub_rounded(sh[a + 1 :], sl[a + 1 :], sh[a], sl[a])
+            vals = _vec_values(kind, q, m, sw, ss)
+            count += int(np.count_nonzero(m > 0.0))
+            # First hit in (leading range, b) order is this row's
+            # lexicographically smallest argmax; rows are visited by a, so a
+            # tie with the incumbent goes to the smaller box.
+            j = int(np.argmax(vals.T))
+            k, i = divmod(j, n - a)
+            v = float(vals.T.flat[j])
+            box = lead[k] + ((a, a + 1 + i),)
+            if v > best or (v == best and best_box is not None and box < best_box.ranges):
+                best = v
+                best_box = BoxIdx(box)
     return best, best_box, count
 
 
 # ----------------------------------------------------------------------
 # Independent oracle: plain nested-loop enumeration with per-box math.fsum.
-# Shares only the per-cell moment arrays and the scalar value formula with
-# the production path; summation and enumeration are independent.
+# Shares only the scale choice, the per-cell moment arrays and the scalar
+# value formula with the production path; summation and enumeration are
+# independent.
 # ----------------------------------------------------------------------
 
 
@@ -268,9 +264,8 @@ def naive_characteristic(measure, weight, kind: ClassKind, q: float):
     """
     validate(measure, weight)
     s2 = second_moment_exponent(kind, q)
-    from .grids import moment_cells
-
     mass = measure.mass
+    weight = _scan_weight(mass, weight, s2, lambda s: moment_cells(mass, weight.values, s))
     wcells = moment_cells(mass, weight.values, 1.0)
     scells = moment_cells(mass, weight.values, s2)
     shape = measure.shape

@@ -19,6 +19,10 @@ import numpy as np
 
 from . import __version__
 from .bellman import (
+    DEFAULT_STABILITY_RTOL,
+    DEFAULT_VERIFY_SEGMENTS,
+    DEFAULT_VERIFY_TOL,
+    DEFAULT_X1_RANGE,
     AveragePairRegion,
     builtin_candidate,
     read_candidate,
@@ -43,6 +47,8 @@ from .grids import (
     _atomic_write,
 )
 from .splitting import (
+    DEFAULT_RATIO_C,
+    DEFAULT_SEGMENT_SAMPLES,
     SplitConfig,
     TRACE_COLUMNS,
     build_tree,
@@ -52,16 +58,16 @@ from .splitting import (
 
 #: Central defaults shared by the CLI and documented in the README.
 DEFAULTS = {
-    "ratio_c": 0.2,
+    "ratio_c": DEFAULT_RATIO_C,
     "q1_factor": 1.05,
-    "segment_samples": 257,
+    "segment_samples": DEFAULT_SEGMENT_SAMPLES,
     "seed": 0,
-    "verify_segments": 200,
-    "verify_rel_tol": 1e-9,
-    "x1_range": (0.1, 10.0),
+    "verify_segments": DEFAULT_VERIFY_SEGMENTS,
+    "verify_rel_tol": DEFAULT_VERIFY_TOL,
+    "x1_range": DEFAULT_X1_RANGE,
     "refine_factor": 4,
     "refine_levels": 3,
-    "stability_rtol": 0.01,
+    "stability_rtol": DEFAULT_STABILITY_RTOL,
     "sharpness_cells": (256, 1024, 4096, 16384),
     "a_side_inside_offset": 0.1,
     "rh_side_inside_offset": -0.5,

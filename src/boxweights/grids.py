@@ -349,6 +349,29 @@ def _tokenize(text: str):
         yield from body.split()
 
 
+class _TokenReader:
+    """Sequential reader over the tokens of a ``kind`` file (grid, candidate)."""
+
+    def __init__(self, path, kind: str):
+        with open(path, "r") as handle:
+            self.toks = list(_tokenize(handle.read()))
+        self.pos = 0
+        self.path = path
+        self.kind = kind
+
+    def take(self, n=1):
+        if self.pos + n > len(self.toks):
+            raise PreconditionError(f"truncated {self.kind} file {self.path}")
+        out = self.toks[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def expect(self, keyword):
+        got = self.take()[0]
+        if got != keyword:
+            raise PreconditionError(f"expected '{keyword}' in {self.path}, found '{got}'")
+
+
 def write_grid(path, measure: GridMeasure, weight: WeightGrid) -> None:
     """Write a measure/weight pair in the text grid format (atomic)."""
     lines = ["# boxweights grid format v1", "grid 1", f"dim {measure.ndim}"]
@@ -390,51 +413,35 @@ def _atomic_write(path, text: str) -> None:
 
 def read_grid(path) -> tuple[GridMeasure, WeightGrid]:
     """Read a measure/weight pair written by write_grid."""
-    with open(path, "r") as handle:
-        toks = list(_tokenize(handle.read()))
-    pos = 0
-
-    def take(n=1):
-        nonlocal pos
-        if pos + n > len(toks):
-            raise PreconditionError(f"truncated grid file {path}")
-        out = toks[pos : pos + n]
-        pos += n
-        return out
-
-    def expect(keyword):
-        got = take()[0]
-        if got != keyword:
-            raise PreconditionError(f"expected '{keyword}' in {path}, found '{got}'")
-
-    expect("grid")
-    version = take()[0]
+    tok = _TokenReader(path, "grid")
+    tok.expect("grid")
+    version = tok.take()[0]
     if version != "1":
         raise PreconditionError(f"unsupported grid format version {version}")
-    expect("dim")
-    ndim = int(take()[0])
+    tok.expect("dim")
+    ndim = int(tok.take()[0])
     bps = []
     for ax in range(ndim):
-        expect("breakpoints")
-        got_ax = int(take()[0])
+        tok.expect("breakpoints")
+        got_ax = int(tok.take()[0])
         if got_ax != ax:
             raise PreconditionError(f"breakpoints out of order in {path}")
-        count = int(take()[0])
-        bps.append(np.array([_parse_float(t) for t in take(count)]))
+        count = int(tok.take()[0])
+        bps.append(np.array([_parse_float(t) for t in tok.take(count)]))
     shape = tuple(b.size - 1 for b in bps)
-    expect("mass")
-    count = int(take()[0])
-    mass = np.array([_parse_float(t) for t in take(count)]).reshape(shape)
-    expect("values")
-    count = int(take()[0])
-    values = np.array([_parse_float(t) for t in take(count)]).reshape(shape)
+    tok.expect("mass")
+    count = int(tok.take()[0])
+    mass = np.array([_parse_float(t) for t in tok.take(count)]).reshape(shape)
+    tok.expect("values")
+    count = int(tok.take()[0])
+    values = np.array([_parse_float(t) for t in tok.take(count)]).reshape(shape)
     power_alpha = None
-    if pos < len(toks):
-        expect("generator")
-        gen_kind = take()[0]
+    if tok.pos < len(tok.toks):
+        tok.expect("generator")
+        gen_kind = tok.take()[0]
         if gen_kind != "power":
             raise PreconditionError(f"unknown generator '{gen_kind}' in {path}")
-        power_alpha = _parse_float(take()[0])
+        power_alpha = _parse_float(tok.take()[0])
     measure = GridMeasure(tuple(bps), mass)
     weight = WeightGrid(values, power_alpha=power_alpha)
     return validate(measure, weight)

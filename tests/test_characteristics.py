@@ -57,15 +57,16 @@ class TestCharacteristics:
         assert report.value == pytest.approx(1.0, abs=1e-12)
         assert report.value >= 1.0 - 1e-12
 
+    @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 2)], ids=["1d", "2d", "3d"])
     @pytest.mark.parametrize("kind", [A, RH])
-    def test_tie_break_is_lexicographic(self, kind):
+    def test_tie_break_is_lexicographic(self, kind, shape):
         # with w == 1 every box value is exactly 1.0, so the argmax is the
         # lexicographically smallest index tuple
-        measure = uniform_measure((3, 4))
-        weight = WeightGrid(np.ones((3, 4)))
+        measure = uniform_measure(shape)
+        weight = WeightGrid(np.ones(shape))
         report = characteristic(measure, weight, kind, 2.0)
         assert report.value == 1.0
-        assert report.argmax_box == BoxIdx(((0, 1), (0, 1)))
+        assert report.argmax_box == BoxIdx(((0, 1),) * len(shape))
 
     def test_power_grid_ap(self):
         measure, weight = power_weight_grid(0.5, 2**12)
@@ -152,6 +153,61 @@ class TestScaleInvariance:
             assert scaled.value == pytest.approx(base.value, rel=1e-12)
             assert scaled.argmax_box == base.argmax_box
 
+    @pytest.mark.parametrize(
+        "kind, q, c, expected",
+        [
+            (A, 1.1, 1e40, 1.8660691432486598),
+            (RH, 10.0, 1e-40, 1.4949453963769563),
+            (RH, 2.0, 1e200, 1.118033988749895),
+        ],
+    )
+    def test_scale_beyond_moment_range(self, kind, q, c, expected):
+        # w**s2 of the scaled weight underflows to 0 (or overflows) in every cell
+        measure = uniform_measure(4)
+        weight = WeightGrid(np.array([1.0, 2.0, 1.0, 3.0]))
+        scaled_weight = WeightGrid(weight.values * c)
+        base = characteristic(measure, weight, kind, q)
+        scaled = characteristic(measure, scaled_weight, kind, q)
+        assert base.value == expected
+        assert scaled.value == pytest.approx(expected, rel=1e-12)
+        assert scaled.argmax_box == base.argmax_box
+        assert scaled.boxes_scanned == base.boxes_scanned
+        value, box, count = naive_characteristic(measure, scaled_weight, kind, q)
+        assert (scaled.value, scaled.argmax_box, scaled.boxes_scanned) == (value, box, count)
+
+    def test_rescale_ignores_zero_mass_weights(self):
+        # the zero-mass cell's weight would leave the double range if scaled
+        # with the rest; it contributes nothing, so it must not matter
+        breakpoints = (np.linspace(0.0, 1.0, 5),)
+        measure = GridMeasure(breakpoints, np.array([1.0, 1.0, 0.0, 1.0]))
+        base = characteristic(measure, WeightGrid(np.array([1.0, 2.0, 1.0, 3.0])), A, 1.1)
+        weight = WeightGrid(np.array([1e40, 2e40, 1e-300, 3e40]))
+        scaled = characteristic(measure, weight, A, 1.1)
+        assert scaled.value == pytest.approx(base.value, rel=1e-12)
+        assert (scaled.argmax_box, scaled.boxes_scanned) == (base.argmax_box, base.boxes_scanned)
+        value, box, count = naive_characteristic(measure, weight, A, 1.1)
+        assert (scaled.value, scaled.argmax_box, scaled.boxes_scanned) == (value, box, count)
+
+    @pytest.mark.parametrize(
+        "kind, q, values, expected",
+        [
+            (RH, 10.0, [1e-60, 1e25], 2.0 * 0.5**0.1),
+            (A, 1.1, [1e-25, 1e60], 0.5**1.1 * 1e85),
+        ],
+    )
+    def test_range_no_scale_recovers_stays_finite(self, kind, q, values, expected):
+        # w**s2 spans more decades than a double holds, so every power-of-two
+        # scale loses a cell; the centred one would overflow.  The small cell
+        # underflows harmlessly and the two-cell box attains the supremum.
+        measure = uniform_measure(2)
+        weight = WeightGrid(np.array(values))
+        report = characteristic(measure, weight, kind, q)
+        assert report.value == pytest.approx(expected, rel=1e-12)
+        assert report.argmax_box == BoxIdx(((0, 2),))
+        assert report.boxes_scanned == 3
+        value, box, count = naive_characteristic(measure, weight, kind, q)
+        assert (report.value, report.argmax_box, report.boxes_scanned) == (value, box, count)
+
 
 class TestOracleEquivalence:
     def test_exact_agreement_small_grids(self):
@@ -162,6 +218,27 @@ class TestOracleEquivalence:
             )
             kind = A if trial % 2 == 0 else RH
             q = float(rng.uniform(1.2, 4.0))
+            report = characteristic(measure, weight, kind, q)
+            value, box, count = naive_characteristic(measure, weight, kind, q)
+            assert report.value == value
+            assert report.argmax_box == box
+            assert report.boxes_scanned == count
+
+    def test_random_three_dimensional_grids(self):
+        rng = np.random.default_rng(321)
+        for trial in range(12):
+            measure, weight = random_pair(
+                rng,
+                max_cells=5,
+                ndim_choices=(3,),
+                zero_mass_fraction=0.2 if trial % 3 == 1 else 0.0,
+            )
+            if trial % 3 == 2:
+                # equal masses and weights in {1, 2}: many boxes tie at the max
+                measure = GridMeasure(measure.breakpoints, np.ones(measure.shape))
+                weight = WeightGrid(rng.integers(1, 3, measure.shape).astype(float))
+            kind = A if trial % 2 == 0 else RH
+            q = 2.0 if trial % 3 == 2 else float(rng.uniform(1.2, 4.0))
             report = characteristic(measure, weight, kind, q)
             value, box, count = naive_characteristic(measure, weight, kind, q)
             assert report.value == value

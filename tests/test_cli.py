@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from boxweights import GridMeasure, WeightGrid, write_grid
+from boxweights import ClassKind, GridMeasure, WeightGrid, naive_characteristic, write_grid
 from boxweights.cli import main
 from boxweights.grids import uniform_measure
 
@@ -90,6 +90,24 @@ class TestCharacteristicCommand:
         assert code == 0
         fields = dict(kv.split("=") for kv in out.split())
         assert float(fields["value"]) == pytest.approx(2.0 / math.sqrt(3.0), rel=0.01)
+
+    def test_three_dimensional_grid(self, capsys, tmp_path):
+        rng = np.random.default_rng(41)
+        shape = (3, 4, 2)
+        bps = tuple(np.sort(rng.uniform(0.0, 1.0, m + 1)) for m in shape)
+        measure = GridMeasure(bps, rng.uniform(0.1, 1.0, shape))
+        weight = WeightGrid(rng.uniform(0.5, 3.0, shape))
+        grid = tmp_path / "cube.txt"
+        write_grid(grid, measure, weight)
+        code, out, _ = run(
+            capsys, "characteristic", "--class", "rh", "--p", "2.5", "--grid", str(grid)
+        )
+        assert code == 0
+        fields = dict(kv.split("=") for kv in out.split())
+        value, box, count = naive_characteristic(measure, weight, ClassKind.REVERSE_HOLDER, 2.5)
+        assert float(fields["value"]) == value
+        assert fields["argmax"] == str(box)
+        assert int(fields["boxes_scanned"]) == count
 
 
 class TestSharpnessCommand:
