@@ -29,7 +29,7 @@ import numpy as np
 from .characteristics import characteristic, pair_gauge
 from .errors import CandidateDomainError, PreconditionError
 from .exponents import ClassKind, PParam, _as_pparam, r_is_admissible
-from .grids import GridMeasure, WeightGrid, refine
+from .grids import GridMeasure, PrefixTables, WeightGrid, refine
 from .splitting import DEFAULT_SEGMENT_SAMPLES, AvgPoint, segment_max
 
 DEFAULT_VERIFY_SEGMENTS = 200
@@ -38,6 +38,8 @@ DEFAULT_X1_RANGE = (0.1, 10.0)
 DEFAULT_BOUNDARY_POINTS = 129
 DEFAULT_STABILITY_RTOL = 0.01
 DEFAULT_CONTRACTION_THRESHOLD = 0.85
+DEFAULT_REFINE_FACTOR = 4
+DEFAULT_REFINE_LEVELS = 3
 
 
 class Membership(enum.Enum):
@@ -499,8 +501,8 @@ def theorem_conclusion_check(
     q: float,
     Q: float,
     probe_kind: ClassKind | None = None,
-    refine_factor: int = 4,
-    levels: int = 3,
+    refine_factor: int = DEFAULT_REFINE_FACTOR,
+    levels: int = DEFAULT_REFINE_LEVELS,
     stability_rtol: float = DEFAULT_STABILITY_RTOL,
     contraction_threshold: float = DEFAULT_CONTRACTION_THRESHOLD,
 ) -> TrendReport:
@@ -512,7 +514,9 @@ def theorem_conclusion_check(
     """
     p = _as_pparam(p)
     probe = probe_kind if probe_kind is not None else kind
-    base = characteristic(measure, weight, kind, p.p)
+    # One table set for the base grid serves the base and the level-0 scan.
+    tables = PrefixTables(measure, weight)
+    base = characteristic(measure, weight, kind, p.p, tables)
     if not base.value <= Q * (1.0 + 1e-9):
         raise PreconditionError(
             f"base characteristic {base.value} exceeds the hypothesis bound Q={Q}"
@@ -521,7 +525,7 @@ def theorem_conclusion_check(
     counts = []
     cur_m, cur_w = measure, weight
     for level in range(levels + 1):
-        rep = characteristic(cur_m, cur_w, probe, q)
+        rep = characteristic(cur_m, cur_w, probe, q, tables if level == 0 else None)
         values.append(rep.value)
         counts.append(int(np.prod(cur_m.shape)))
         if level < levels:

@@ -18,6 +18,53 @@ Ties in the argmax break to the lexicographically smallest index tuple
 (a1, b1, a2, b2, ...).  The scan takes the first maximum of each row of
 boxes in that order, and a row's maximum replaces the incumbent when it is
 larger, or equal with a lexicographically smaller box.
+
+The scan refuses (PreconditionError) a grid whose prefix tables cannot
+certify exact box sums; see grids.PrefixTables.precision_margin.
+
+Screened two-pass row kernel
+----------------------------
+A row is every box whose last-axis range starts at a, for one leading range
+each.  Each stack (mass, w, w**s2) holds double-double prefix entries
+h + l, and the exact row kernel (pass 2, ``_row``) forms every box sum as
+X2 = dd_sub_rounded(h_b, l_b, h_a, l_a), then the value from _vec_values.
+Pass 1 (``_screen``) evaluates the same _vec_values on the hi-only sums
+X1 = fl(h_b - h_a), over blocks of rows at once, and bounds every pass-2
+value of row a by U_a; pass 2 runs only on rows with U_a >= the incumbent.
+Following the error-free transformations of Dekker (1971) and Ogita, Rump
+and Oishi ("Accurate sum and dot product", SIAM J. Sci. Comput. 26(6),
+2005), with u = 2**-53:
+
+1. Sums.  two_sum(h_b, -h_a) = (s, e) is exact, s = X1 and |e| <= u|X1|,
+   and the exact difference is X = s + e + (l_b - l_a).  The two roundings
+   of the low-order parts and the final one give |X2 - X| <= u|X2| +
+   3u|l_b - l_a| + u^2|X1|, hence |X2 - X1| <= (1 + 5u) L_a + 3u|X1| with
+   L_a = |l_a| + max|l| over the stack.  Dividing by the row minimum
+   X1min of the surrogate sum (a difference of suffix minima, since
+   x -> fl(x - h_a) is monotone) gives X2 = X1 (1 + t), |t| <= rho, where
+   rho = L_a / X1min (1 + 2**-48) + 2**-50.
+2. Values.  In the normal range each of / * rounds with relative error u,
+   and np.power is allowed a relative error P = 2**-44 (it is not assumed
+   correctly rounded).  With exponent e = q - 1 (ap) or 1/q (rh), both
+   positive, the log of pass-2 over pass-1 value is at most
+   g = 2 rho_w + (2 + 2e) rho_m + e rho_s + (5e + 10) u + 3P
+   for both classes (log(1 + t) <= t, -log(1 - t) <= 2t for t <= 1/2).
+   Hence v2 <= v1 exp(g) <= v1 (1 + 2g) for g <= 1, and
+   U_a = max v1 * (1 + 2g + 2**-45), the last term covering the rounding of
+   the bound itself.
+3. Range.  The row extremes of the three sums bound log2 of sw/m and ss/m;
+   when |log2(sw/m)| and max(e, 1) |log2(ss/m)| stay below 500 and g and
+   every rho are at most 2**-8, every intermediate of both passes is a
+   normal double and steps 1-2 hold.
+
+A row whose bound cannot be formed (a minimum surrogate sum not above its
+error, which covers zero-mass boxes, a range or g outside the limits, or a
+non-finite surrogate maximum) gets U_a = +inf and always runs in pass 2.
+Otherwise every box of the row has X2 > 0, so a screened row counts all of
+its boxes.  Pass 2 takes the row with the best surrogate maximum first,
+then every other row in increasing a whose U_a is not below the incumbent;
+a skipped row's exact values are all below the final supremum, so value,
+argmax and box count are those of the exhaustive exact scan.
 """
 
 from __future__ import annotations
@@ -39,8 +86,12 @@ class CharacteristicReport:
 
     value is the supremum over positive-measure boxes (>= 1 always, +inf if
     a moment cell overflowed and centring w by a power of two does not
-    recover every cell); argmax_box attains it; boxes_scanned counts the
-    positive-measure boxes examined (0 for the overflow short-circuit).
+    recover every cell); argmax_box attains it; boxes_scanned counts every
+    positive-measure box of the grid (0 for the overflow short-circuit),
+    whether the screen bounded it or pass 2 evaluated it.  Screening never
+    changes value, argmax_box or boxes_scanned: they equal those of the
+    exhaustive exact scan.  exact_rows counts the rows that pass 2
+    re-evaluated in double-double; it is a diagnostic and enters no CSV.
     """
 
     kind: ClassKind
@@ -48,6 +99,7 @@ class CharacteristicReport:
     value: float
     argmax_box: BoxIdx | None
     boxes_scanned: int
+    exact_rows: int = 0
 
 
 def pair_gauge(kind: ClassKind, p, x1, x2):
@@ -82,7 +134,11 @@ def characteristic(
     q: float,
     tables: PrefixTables | None = None,
 ) -> CharacteristicReport:
-    """Exact supremum of the class-(kind, q) functional over all boxes."""
+    """Exact supremum of the class-(kind, q) functional over all boxes.
+
+    Raises PreconditionError, naming the span of the cells, when a prefix
+    table cannot certify exact box sums.
+    """
     validate(measure, weight)
     s2 = second_moment_exponent(kind, q)
     if tables is None:
@@ -105,9 +161,10 @@ def characteristic(
             boxes_scanned=0,
         )
 
-    value, box, count = _scan(tables, kind, q, s2)
+    tables.certify(max((None, 1.0, s2), key=tables.precision_margin))
+    value, box, count, exact = _scan(tables, kind, q, s2)
     return CharacteristicReport(
-        kind=kind, exponent=q, value=value, argmax_box=box, boxes_scanned=count
+        kind=kind, exponent=q, value=value, argmax_box=box, boxes_scanned=count, exact_rows=exact
     )
 
 
@@ -174,6 +231,19 @@ def q_scan(measure, weight, kind: ClassKind, q_list, tables=None) -> list[ScanEn
     return entries
 
 
+# Pass-1 block size in box values (rows x b x leading ranges); a block and
+# its temporaries stay near 100 KB.
+_SCREEN_BLOCK = 1 << 11
+# Unit roundoff, and the relative error allowed for np.power: 2**-44 is
+# 256 ulp, far above glibc's < 1 ulp and the 4 ulp of vectorised pow kernels.
+_U = 2.0**-53
+_POW_ERR = 2.0**-44
+# A row is screened only when its log error bound g and every relative sum
+# error rho are at most _G_MAX, and |log2(sw/m)| and max(e, 1)*|log2(ss/m)|
+# are below _LOG2_LIMIT, which keeps every intermediate a normal double.
+_G_MAX = 2.0**-8
+_LOG2_LIMIT = 500.0
+
 # ----------------------------------------------------------------------
 # Scan engine.  The leading axes are reduced, one first-axis start a1 at a
 # time, to a stack of last-axis prefix columns, one column per leading
@@ -203,41 +273,52 @@ def _scalar_value(kind, q, m, sw, ss):
 
 def _scan(tables, kind, q, s2):
     tabs = (tables.mass_table, tables.table(1.0), tables.table(s2))
-    ext = tabs[0][0].shape  # cells + 1 per axis
+    # The mass, w and w**s2 tables side by side: shape (3, cells + 1 per axis).
+    H, L = np.stack([h for h, _ in tabs]), np.stack([l for _, l in tabs])
+    ext = H.shape[1:]
     best = -math.inf
     best_box = None
     count = 0
+    exact = 0
     for a1 in range(ext[0] - 1 if len(ext) > 1 else 1):
         if len(ext) == 1:
-            stack, lead = tabs, [()]
+            h, l, lead = H, L, [()]
         else:
             # Rows [a1, b1) for every b1 by broadcasting, then every (a, b)
             # pair of each middle axis; the leading ranges stay in
-            # lexicographic order.  The stack is stored last axis first,
+            # lexicographic order.  Each stack is stored last axis first,
             # shape (n_last + 1, K), as the 1-D tables are laid out, so the
             # 1-D tables need no reshaping and keep a scalar broadcast
             # partner in the row kernel.
-            stack = [dd_sub(h[a1 + 1 :], l[a1 + 1 :], h[a1], l[a1]) for h, l in tabs]
+            h, l = dd_sub(H[:, a1 + 1 :], L[:, a1 + 1 :], H[:, a1, None], L[:, a1, None])
             lead = [((a1, b1),) for b1 in range(a1 + 1, ext[0])]
-            for ax, n in enumerate(ext[1:-1], start=1):
+            for ax, n in enumerate(ext[1:-1], start=2):
                 ia, ib = np.triu_indices(n, k=1)
-                stack = [
-                    dd_sub(h.take(ib, ax), l.take(ib, ax), h.take(ia, ax), l.take(ia, ax))
-                    for h, l in stack
-                ]
+                h, l = dd_sub(h.take(ib, ax), l.take(ib, ax), h.take(ia, ax), l.take(ia, ax))
                 lead = [r + ((a, b),) for r in lead for a, b in zip(ia.tolist(), ib.tolist())]
-            stack = [(h.reshape(-1, ext[-1]).T, l.reshape(-1, ext[-1]).T) for h, l in stack]
-        (mh, ml), (wh, wl), (sh, sl) = stack
-        n = mh.shape[0] - 1
-        for a in range(n):
-            m = dd_sub_rounded(mh[a + 1 :], ml[a + 1 :], mh[a], ml[a])
-            sw = dd_sub_rounded(wh[a + 1 :], wl[a + 1 :], wh[a], wl[a])
-            ss = dd_sub_rounded(sh[a + 1 :], sl[a + 1 :], sh[a], sl[a])
-            vals = _vec_values(kind, q, m, sw, ss)
-            count += int(np.count_nonzero(m > 0.0))
+            h, l = (x.reshape(3, -1, ext[-1]).transpose(0, 2, 1) for x in (h, l))
+        stack = list(zip(h, l))
+        bound, vmax = _screen(h, l, kind, q)
+        n = len(bound)
+        screened = bound < math.inf
+        count += len(lead) * int((n - np.flatnonzero(screened)).sum())
+        # The best surrogate row goes first, so that the incumbent is as high
+        # as it can be before the other rows are tested against it.
+        rows = range(n)
+        if screened.any():
+            seed = int(np.argmax(np.where(screened, vmax, -math.inf)))
+            rows = [seed, *range(seed), *range(seed + 1, n)]
+        bound = bound.tolist()
+        for a in rows:
+            if bound[a] < best:
+                continue
+            vals, c = _row(stack, a, kind, q)
+            exact += 1
+            if bound[a] == math.inf:
+                count += c
             # First hit in (leading range, b) order is this row's
-            # lexicographically smallest argmax; rows are visited by a, so a
-            # tie with the incumbent goes to the smaller box.
+            # lexicographically smallest argmax; a tie with the incumbent goes
+            # to the smaller box, so the order of the rows does not matter.
             j = int(np.argmax(vals.T))
             k, i = divmod(j, n - a)
             v = float(vals.T.flat[j])
@@ -245,7 +326,65 @@ def _scan(tables, kind, q, s2):
             if v > best or (v == best and best_box is not None and box < best_box.ranges):
                 best = v
                 best_box = BoxIdx(box)
-    return best, best_box, count
+    return best, best_box, count, exact
+
+
+def _row(stack, a, kind, q):
+    """Pass 2: exact values of the boxes whose last-axis range starts at a.
+
+    Returns the values, shaped (n - a,) or (n - a, K), and how many of the
+    boxes have positive mass.
+    """
+    (mh, ml), (wh, wl), (sh, sl) = stack
+    m = dd_sub_rounded(mh[a + 1 :], ml[a + 1 :], mh[a], ml[a])
+    sw = dd_sub_rounded(wh[a + 1 :], wl[a + 1 :], wh[a], wl[a])
+    ss = dd_sub_rounded(sh[a + 1 :], sl[a + 1 :], sh[a], sl[a])
+    return _vec_values(kind, q, m, sw, ss), int(np.count_nonzero(m > 0.0))
+
+
+def _screen(h, l, kind, q):
+    """Pass 1: per start row a, a bound U[a] on every exact value in the row.
+
+    h and l hold the mass, w and w**s2 stacks, shape (3, n + 1) or
+    (3, n + 1, K).  Returns U and the surrogate row maxima; U[a] is +inf
+    where the bound cannot be formed.  The derivation is in the module
+    docstring.
+    """
+    e = q - 1.0 if kind is ClassKind.MUCKENHOUPT_A else 1.0 / q
+    # Leading ranges innermost and contiguous: the n-D stacks arrive
+    # transposed, and every step below reduces or broadcasts over them.
+    h = np.ascontiguousarray(h.reshape(3, h.shape[1], -1))
+    lo = np.abs(l.reshape(h.shape), order="C")
+    n, k = h.shape[1] - 1, h.shape[2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # x -> fl(x - c) is monotone, so the extremes of a row's surrogate
+        # sums are the suffix extremes of h minus h[a].
+        tail = h[:, :0:-1]
+        xmin = (np.minimum.accumulate(tail, axis=1)[:, ::-1] - h[:, :-1]).min(axis=2)
+        xmax = (np.maximum.accumulate(tail, axis=1)[:, ::-1] - h[:, :-1]).max(axis=2)
+        lrow = lo[:, :-1].max(axis=2) + lo.max(axis=(1, 2))[:, None]
+        rho = np.where(xmin > 0.0, lrow / xmin * (1.0 + 2.0**-48) + 2.0**-50, np.inf)
+        g = np.dot([2.0 + 2.0 * e, 2.0, e], rho) + (5.0 * e + 10.0) * _U + 3.0 * _POW_ERR
+        # log2 ranges of sw/m and ss/m over the row
+        lmin, lmax = np.log2(xmin), np.log2(xmax)
+        ends = np.abs([lmin[1:] - lmax[0], lmax[1:] - lmin[0]]) * [[1.0], [max(e, 1.0)]]
+        ok = (
+            (g <= _G_MAX)
+            & (rho.max(axis=0) <= _G_MAX)
+            & (ends.max(axis=(0, 1)) < _LOG2_LIMIT)
+        )
+
+        vmax = np.empty(n)
+        a0 = 0
+        while a0 < n:
+            a_end = min(n, a0 + max(1, _SCREEN_BLOCK // ((n - a0) * k)))
+            # Rows a0..a_end-1 against every b > a0; b <= a gives m <= 0,
+            # hence -inf, unless h is not monotone, which can only raise U.
+            d = h[:, None, a0 + 1 :] - h[:, a0:a_end, None]
+            vmax[a0:a_end] = _vec_values(kind, q, *d).reshape(a_end - a0, -1).max(axis=1)
+            a0 = a_end
+        ok &= np.isfinite(vmax)
+        return np.where(ok, vmax * (1.0 + 2.0 * g + 2.0**-45), math.inf), vmax
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,8 @@ import numpy as np
 
 from . import __version__
 from .bellman import (
+    DEFAULT_REFINE_FACTOR,
+    DEFAULT_REFINE_LEVELS,
     DEFAULT_STABILITY_RTOL,
     DEFAULT_VERIFY_SEGMENTS,
     DEFAULT_VERIFY_TOL,
@@ -38,6 +40,7 @@ from .errors import (
 )
 from .exponents import Branch, ClassKind, PParam, extremal_alpha, sharp_range
 from .grids import (
+    PrefixTables,
     export_cells_csv,
     power_weight_grid,
     read_grid,
@@ -65,8 +68,8 @@ DEFAULTS = {
     "verify_segments": DEFAULT_VERIFY_SEGMENTS,
     "verify_rel_tol": DEFAULT_VERIFY_TOL,
     "x1_range": DEFAULT_X1_RANGE,
-    "refine_factor": 4,
-    "refine_levels": 3,
+    "refine_factor": DEFAULT_REFINE_FACTOR,
+    "refine_levels": DEFAULT_REFINE_LEVELS,
     "stability_rtol": DEFAULT_STABILITY_RTOL,
     "sharpness_cells": (256, 1024, 4096, 16384),
     "a_side_inside_offset": 0.1,
@@ -179,8 +182,10 @@ def cmd_sharpness(args) -> int:
     rows = []
     for n in cells:
         measure, weight = power_weight_grid(alpha, n)
-        critical = characteristic(measure, weight, probe, critical_q)
-        inside = characteristic(measure, weight, probe, inside_q)
+        # Both scans share the grid's mass and w tables.
+        tables = PrefixTables(measure, weight)
+        critical = characteristic(measure, weight, probe, critical_q, tables)
+        inside = characteristic(measure, weight, probe, inside_q, tables)
         rows.append(
             {
                 "cells": n,

@@ -269,6 +269,11 @@ class PrefixTables:
     Tables are immutable once built; ensure() extends the cache to new
     exponents.  The raw per-cell moment arrays are exposed for independent
     summation oracles.
+
+    Each table carries a precision certificate, made when it is built from
+    its largest prefix sum and smallest positive cell (see
+    precision_margin).  Below 1, every box sum the characteristic scan reads
+    from it is the correctly rounded exact sum.
     """
 
     def __init__(self, measure: GridMeasure, weight: WeightGrid, exponents=()):
@@ -278,6 +283,9 @@ class PrefixTables:
         self._cells: dict[float, np.ndarray] = {}
         self._tables: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._mass_table = dd_prefix_tables(measure.mass)
+        self._margins: dict[float | None, tuple[float, float]] = {
+            None: _certificate(measure.mass, self._mass_table[0])
+        }
         for s in exponents:
             self.ensure(float(s))
 
@@ -287,8 +295,9 @@ class PrefixTables:
             return
         cells = moment_cells(self.measure.mass, self.weight.values, s)
         self._cells[s] = cells
-        finite = np.isfinite(cells)
-        self._tables[s] = dd_prefix_tables(np.where(finite, cells, 0.0))
+        finite = np.where(np.isfinite(cells), cells, 0.0)
+        self._tables[s] = dd_prefix_tables(finite)
+        self._margins[s] = _certificate(finite, self._tables[s][0])
 
     def cells(self, s: float) -> np.ndarray:
         self.ensure(s)
@@ -310,6 +319,39 @@ class PrefixTables:
     def mass_table(self) -> tuple[np.ndarray, np.ndarray]:
         return self._mass_table
 
+    def precision_margin(self, s: float | None = None) -> float:
+        """Certificate of the mass table (s None) or the w**s table.
+
+        max|P| * 2**-104 over half an ulp q0/2 of the smallest positive cell,
+        P the prefix sums, or 0 for a table of at most two cells.  Every
+        cell is an integer multiple of q0, hence so is every sum and rounding
+        error of the double-double arithmetic that builds the table, reduces
+        it to stacks and subtracts two entries.  Its low-order operations
+        (lo + lo, error + lo, the renormalisation) have results of at most
+        4u max|P|, u = 2**-53, on cells of one sign; below 2**53 q0 such a
+        result is a representable multiple of q0, so the operation is exact.
+        With a margin below 1 (a factor 2 to spare), every table entry is its
+        exact prefix sum, and every box sum the scan reads is the correctly
+        rounded exact sum, however long the rows.  A row of at most two cells
+        needs no bound: each entry and box sum is one two_sum of the cells.
+        """
+        if s is not None:
+            self.ensure(s)
+            s = float(s)
+        return self._margins[s][0]
+
+    def certify(self, s: float | None = None) -> None:
+        """Raise PreconditionError if the table's margin is not below 1."""
+        margin = self.precision_margin(s)
+        if not margin < 1.0:
+            span = self._margins[None if s is None else float(s)][1]
+            what = "cell masses" if s is None else f"cell moments of w**{float(s)!r}"
+            raise PreconditionError(
+                f"{what} span {span:.3g} (largest prefix sum over smallest positive "
+                f"cell), beyond the about 2**51 that double-double prefix tables "
+                f"certify exact (margin {margin:.3g})"
+            )
+
     def mass_sum(self, box: BoxIdx) -> float:
         box.check_shape(self.measure.shape)
         return dd_box_sum(*self._mass_table, box.ranges)
@@ -318,6 +360,17 @@ class PrefixTables:
         box.check_shape(self.measure.shape)
         hi, lo = self.table(s)
         return dd_box_sum(hi, lo, box.ranges)
+
+
+def _certificate(cells: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
+    """(margin, span) of a table: see PrefixTables.precision_margin."""
+    positive = cells[cells > 0.0]
+    if positive.size == 0:
+        return 0.0, 1.0
+    top = float(np.abs(hi).max())
+    smallest = float(positive.min())
+    margin = 0.0 if cells.size <= 2 else top * 2.0**-103 / float(np.spacing(smallest))
+    return margin, top / smallest
 
 
 def box_average(measure, weight, box: BoxIdx, s: float, tables: PrefixTables | None = None) -> float:

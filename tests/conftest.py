@@ -38,6 +38,22 @@ def uniform4():
     return uniform_measure(4), WeightGrid(np.array([1.0, 2.0, 3.0, 4.0]))
 
 
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The measure of every PrefixTables built while the test runs, in order."""
+    from boxweights.grids import PrefixTables
+
+    built = []
+    init = PrefixTables.__init__
+
+    def counting(self, measure, weight, exponents=()):
+        built.append(measure)
+        init(self, measure, weight, exponents)
+
+    monkeypatch.setattr(PrefixTables, "__init__", counting)
+    return built
+
+
 def random_pair(rng, max_cells=16, ndim_choices=(1, 2), zero_mass_fraction=0.0):
     """Random measure/weight pair on a random irregular lattice."""
     ndim = int(rng.choice(ndim_choices))

@@ -207,6 +207,13 @@ class TestConclusionCheck:
         with pytest.raises(PreconditionError, match="exceeds"):
             theorem_conclusion_check(measure, weight, A, P2, 2.0, Q=1.05)
 
+    def test_base_and_level_zero_share_tables(self, table_builds):
+        measure, weight = power_weight_grid(0.5, 64)
+        theorem_conclusion_check(
+            measure, weight, A, P2, 1.7, Q=4.0 / 3.0 + 1e-9, refine_factor=2, levels=2
+        )
+        assert [m.shape for m in table_builds] == [(64,), (128,), (256,)]
+
     def test_constant_weight_stabilizes(self):
         measure = uniform_measure(8)
         weight = WeightGrid(np.ones(8))

@@ -1,13 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boxweights import (
     BoxIdx,
     ClassKind,
     GridMeasure,
     PParam,
+    PrefixTables,
     WeightGrid,
     ap_characteristic,
     characteristic,
@@ -16,6 +19,7 @@ from boxweights import (
     q_scan,
     rh_characteristic,
 )
+from boxweights import characteristics
 from boxweights.characteristics import second_moment_exponent
 from boxweights.errors import PreconditionError
 from boxweights.grids import power_weight_grid, uniform_measure
@@ -269,3 +273,169 @@ class TestSecondMomentExponent:
             second_moment_exponent(A, 1.0)
         with pytest.raises(PreconditionError):
             second_moment_exponent(RH, 0.9)
+
+
+# ----------------------------------------------------------------------
+# Screened two-pass kernel against a full exact sweep.
+# ----------------------------------------------------------------------
+
+
+def _no_screen(h, l, kind, q):
+    rows = h.shape[1] - 1
+    return np.full(rows, np.inf), np.zeros(rows)
+
+
+def full_sweep(measure, weight, kind, q):
+    """characteristic() with every row through the pass-2 row function, in order."""
+    with mock.patch.object(characteristics, "_screen", _no_screen):
+        return characteristic(measure, weight, kind, q)
+
+
+def assert_matches_sweep(measure, weight, kind, q):
+    report = characteristic(measure, weight, kind, q)
+    sweep = full_sweep(measure, weight, kind, q)
+    assert (report.value, report.argmax_box, report.boxes_scanned) == (
+        sweep.value,
+        sweep.argmax_box,
+        sweep.boxes_scanned,
+    )
+    # one row per last-axis start a, per first-axis start a1 in n-D
+    shape = measure.shape
+    assert sweep.exact_rows == (shape[0] * shape[-1] if len(shape) > 1 else shape[0])
+    assert 1 <= report.exact_rows <= sweep.exact_rows
+    return report
+
+
+def _grid(mass, values):
+    mass = np.asarray(mass, dtype=float)
+    bps = tuple(np.arange(m + 1.0) for m in mass.shape)
+    return GridMeasure(bps, mass), WeightGrid(np.asarray(values, dtype=float))
+
+
+class TestScreenedKernel:
+    @pytest.mark.parametrize("kind", [A, RH])
+    @pytest.mark.parametrize(
+        "mass, values",
+        [
+            ([1, 1, 1, 1, 1, 1], [1, 3, 1, 3, 1, 3]),
+            ([[1, 1, 1], [1, 1, 1]], [[1, 2, 1], [2, 1, 2]]),
+            # the smallest tied box, (0:1, 2:4), lies in a later row than the
+            # first tied row's (0:2, 0:1)
+            ([[1, 1, 1, 1], [1, 1, 1, 1]], [[1, 1, 1, 4], [4, 1, 1, 1]]),
+            ([[[1, 1], [1, 1]], [[1, 1], [1, 1]]], [[[1, 2], [2, 1]], [[2, 1], [1, 2]]]),
+        ],
+        ids=["1d", "2d", "2d-later-row", "3d"],
+    )
+    def test_exact_ties_across_rows(self, kind, mass, values):
+        report = assert_matches_sweep(*_grid(mass, values), kind, 2.0)
+        assert report.value > 1.0
+
+    @pytest.mark.parametrize(
+        "kind, q, mass, values, rows",
+        [
+            # the best row comes after a row one ulp below it
+            (A, 1.5, [3, 1, 2, 2], [3, 4, 4, 3], (2, 0)),
+            (A, 1.5, [2, 1, 1, 3, 1, 2], [5, 4, 4, 5, 5, 4], (0, 1)),
+        ],
+    )
+    def test_maxima_one_ulp_apart_in_different_rows(self, kind, q, mass, values, rows):
+        measure, weight = _grid(mass, values)
+        s2 = second_moment_exponent(kind, q)
+        tables = PrefixTables(measure, weight, (1.0, s2))
+        stack = (tables.mass_table, tables.table(1.0), tables.table(s2))
+        maxima = [float(characteristics._row(stack, a, kind, q)[0].max()) for a in rows]
+        assert maxima[0] == np.nextafter(maxima[1], np.inf)
+        report = assert_matches_sweep(measure, weight, kind, q)
+        assert report.value == maxima[0]
+        assert report.argmax_box.ranges[0][0] == rows[0]
+
+    @pytest.mark.parametrize("seed", [37, 95, 109])
+    def test_error_term_keeps_rows_the_surrogate_misorders(self, seed):
+        # A 2**k first cell leaves low parts near 2**(k - 53) in every later
+        # prefix, so the surrogate maxima of the unit cells' rows are off by
+        # about 1e-4 of their value: enough to rank the best row below another.
+        g = np.random.default_rng(seed)
+        n, k = int(g.integers(6, 20)), int(g.integers(30, 46))
+        mass = g.uniform(0.5, 1.0, n)
+        mass[0] = 2.0**k
+        measure, weight = _grid(mass, g.uniform(0.9, 1.1, n))
+        q = float(g.uniform(1.3, 3.0))
+        report = assert_matches_sweep(measure, weight, A, q)
+        s2 = second_moment_exponent(A, q)
+        tables = PrefixTables(measure, weight, (1.0, s2))
+        tabs = (tables.mass_table, tables.table(1.0), tables.table(s2))
+        bound, vmax = characteristics._screen(
+            np.stack([h for h, _ in tabs]), np.stack([l for _, l in tabs]), A, q
+        )
+        row = report.argmax_box.ranges[0][0]
+        assert bound[row] < math.inf and vmax[row] < vmax.max()
+
+    @pytest.mark.parametrize("kind", [A, RH])
+    def test_huge_first_cell_sends_rows_to_pass_two(self, kind):
+        # Every prefix after the first cell carries a low part near ulp(2**44)/2,
+        # too large against the unit cells for a bound, yet the table is still
+        # certified exact.
+        rng = np.random.default_rng(11)
+        mass = np.concatenate([[2.0**44], rng.uniform(0.5, 1.0, 30)])
+        measure, weight = _grid(mass, rng.uniform(0.5, 2.0, 31))
+        assert PrefixTables(measure, weight).precision_margin() < 1.0
+        report = assert_matches_sweep(measure, weight, kind, 2.5)
+        assert report.exact_rows >= 20
+        value, box, count = naive_characteristic(measure, weight, kind, 2.5)
+        assert (report.value, report.argmax_box, report.boxes_scanned) == (value, box, count)
+
+    @pytest.mark.parametrize("kind", [A, RH])
+    @pytest.mark.parametrize("shape", [(24,), (5, 6), (3, 4, 5)], ids=["1d", "2d", "3d"])
+    def test_runs_of_zero_mass_cells(self, kind, shape):
+        rng = np.random.default_rng(12)
+        mass = rng.uniform(0.2, 1.0, shape).reshape(-1)
+        for start, length in ((2, 3), (9, 4), (mass.size - 2, 2)):
+            mass[start : start + length] = 0.0
+        measure, weight = _grid(mass.reshape(shape), rng.uniform(0.3, 3.0, shape))
+        report = assert_matches_sweep(measure, weight, kind, 1.8)
+        value, box, count = naive_characteristic(measure, weight, kind, 1.8)
+        assert (report.value, report.argmax_box, report.boxes_scanned) == (value, box, count)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        shape=st.sampled_from([(1,), (2,), (9,), (17,), (1, 3), (4, 4), (3, 6), (2, 2, 2), (3, 2, 4)]),
+        kind=st.sampled_from([A, RH]),
+        q=st.floats(1.2, 6.0),
+        data=st.data(),
+    )
+    def test_hypothesis_grids_match_sweep(self, shape, kind, q, data):
+        size = int(np.prod(shape))
+        cell = st.one_of(st.just(0.0), st.floats(1e-2, 1e2))
+        mass = np.array(data.draw(st.lists(cell, min_size=size, max_size=size)))
+        if not mass.sum() > 0.0:
+            mass[0] = 1.0
+        values = data.draw(st.lists(st.floats(0.2, 5.0), min_size=size, max_size=size))
+        grid = _grid(mass.reshape(shape), np.reshape(values, shape))
+        try:
+            assert_matches_sweep(*grid, kind, q)
+        except PreconditionError as exc:
+            # beyond the precision certificate both routes refuse alike
+            assert "span" in str(exc)
+
+    def test_seeded_grids_match_sweep(self):
+        rng = np.random.default_rng(13)
+        for trial in range(60):
+            measure, weight = random_pair(
+                rng,
+                max_cells=(12, 6, 4)[trial % 3],
+                ndim_choices=((1,), (2,), (3,))[trial % 3],
+                zero_mass_fraction=0.25 if trial % 4 == 0 else 0.0,
+            )
+            assert_matches_sweep(measure, weight, A if trial % 2 else RH, float(rng.uniform(1.1, 5.0)))
+
+    @pytest.mark.parametrize(
+        "probe, alpha, q",
+        [(A, 0.5, 1.5), (A, 0.5, 1.6), (RH, -0.5, 2.0), (RH, -0.5, 1.5)],
+        ids=["ap-critical", "ap-inside", "rh-critical", "rh-inside"],
+    )
+    def test_power_ladder_takes_few_rows_to_pass_two(self, probe, alpha, q):
+        # the A_2 ladder of x**0.5 (minus side) and x**-0.5 (plus side), 2048 cells
+        measure, weight = power_weight_grid(alpha, 2048)
+        report = characteristic(measure, weight, probe, q)
+        assert report.exact_rows <= 4
+        assert report.boxes_scanned == 2048 * 2049 // 2

@@ -1,10 +1,18 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from boxweights import ClassKind, GridMeasure, WeightGrid, naive_characteristic, write_grid
-from boxweights.cli import main
+from boxweights import (
+    ClassKind,
+    GridMeasure,
+    WeightGrid,
+    naive_characteristic,
+    theorem_conclusion_check,
+    write_grid,
+)
+from boxweights.cli import DEFAULTS, main
 from boxweights.grids import uniform_measure
 
 from conftest import FIXTURE_DIR
@@ -130,6 +138,13 @@ class TestSharpnessCommand:
         first = rows[1].split(",")
         second = rows[2].split(",")
         assert float(second[2]) > float(first[2])
+
+    def test_one_table_set_per_grid(self, capsys, tmp_path, table_builds):
+        args = ["sharpness", "--class", "rh", "--p", "2", "--Q", "1.5", "--side", "plus"]
+        code, _, _ = run(capsys, *args, "--cells", "64,128,256", "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+        # the critical and the inside scan share the tables of their grid
+        assert [m.shape for m in table_builds] == [(64,), (128,), (256,)]
 
     def test_near_unit_bound_gives_near_constant_columns(self, capsys, tmp_path):
         """Q near 1: the inside column is near 1, the critical one only barely grows.
@@ -298,6 +313,12 @@ class TestConclusionCheckCommand:
         )
         assert code == 2
         assert "provide either" in err
+
+
+    def test_refine_defaults_are_the_library_defaults(self):
+        params = inspect.signature(theorem_conclusion_check).parameters
+        assert DEFAULTS["refine_factor"] == params["refine_factor"].default
+        assert DEFAULTS["refine_levels"] == params["levels"].default
 
 
 class TestExportCsv:

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boxweights import (
     BoxIdx,
+    ClassKind,
     GridMeasure,
     PrefixTables,
     WeightGrid,
     box_average,
+    characteristic,
+    naive_characteristic,
     power_weight_grid,
     read_grid,
     refine,
@@ -307,3 +311,60 @@ values 2
         assert lines[0] == "i0,lo0,hi0,mass,value"
         assert len(lines) == 5
         assert lines[1].split(",")[-1] == "0.125"
+
+
+class TestPrecisionCertificate:
+    def test_ordinary_grid_is_certified(self):
+        measure, weight = power_weight_grid(0.5, 4096)
+        tables = PrefixTables(measure, weight, (1.0, -1.0))
+        for s in (None, 1.0, -1.0):
+            assert 0.0 < tables.precision_margin(s) < 1e-6
+
+    def test_two_cells_need_no_bound(self):
+        # one two_sum holds any two cells exactly, whatever their ratio
+        measure, weight = uniform_measure(2), WeightGrid(np.array([1e-60, 1e25]))
+        assert PrefixTables(measure, weight).precision_margin(1.0) == 0.0
+
+    def test_margin_crosses_one_at_about_two_to_the_51(self):
+        # max|P| * 2**-103 / ulp(smallest cell) with unit smallest cell
+        for top, certified in ((2.0**50, True), (2.0**51 - 2.0**-1, True), (2.0**51, False)):
+            mass = np.array([1.0, top - 1.0, 0.0])
+            tables = PrefixTables(GridMeasure((np.arange(4.0),), mass), WeightGrid(np.ones(3)))
+            assert (tables.precision_margin() < 1.0) is certified
+
+    def test_wide_dynamic_range_is_refused_with_its_span(self):
+        # w**2 cell moments spanning about 1e53: the double-double prefix
+        # route gave 5542.70 at 0:2 where the fsum supremum is 192610.49 at 6:8
+        g = np.random.default_rng(4)
+        mass = np.exp(g.uniform(-20.0, 20.0, 12))
+        measure = GridMeasure((np.linspace(0.0, 1.0, 13),), mass)
+        weight = WeightGrid(np.exp(g.uniform(-30.0, 30.0, 12)))
+        with pytest.raises(PreconditionError, match=r"w\*\*2\.0 span 1\.0\de\+53"):
+            characteristic(measure, weight, ClassKind.REVERSE_HOLDER, 2.0)
+        value, box, _ = naive_characteristic(measure, weight, ClassKind.REVERSE_HOLDER, 2.0)
+        assert (round(value, 2), box) == (192610.49, BoxIdx(((6, 8),)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cells=st.integers(1, 10),
+        spread=st.floats(0.0, 40.0),
+        kind=st.sampled_from([ClassKind.MUCKENHOUPT_A, ClassKind.REVERSE_HOLDER]),
+        q=st.floats(1.1, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_certified_scans_equal_the_fsum_oracle(self, cells, spread, kind, q, seed):
+        # masses and values in e**[-spread, spread], up to about +-17 decades
+        g = np.random.default_rng(seed)
+        measure = GridMeasure(
+            (np.arange(cells + 1.0),), np.exp(g.uniform(-spread, spread, cells))
+        )
+        weight = WeightGrid(np.exp(g.uniform(-spread, spread, cells)))
+        try:
+            report = characteristic(measure, weight, kind, q)
+        except PreconditionError as exc:
+            assert "span" in str(exc)
+            return
+        if report.boxes_scanned == 0:  # overflow short-circuit
+            return
+        value, box, count = naive_characteristic(measure, weight, kind, q)
+        assert (report.value, report.argmax_box, report.boxes_scanned) == (value, box, count)
