@@ -6,7 +6,11 @@ enough for every box query to round to the correctly rounded double of the
 exact real sum, which is what makes the prefix route bit-identical to an
 independent math.fsum oracle.
 
-All kernels are branch-free and work elementwise on numpy arrays.
+All kernels are branch-free and work elementwise on numpy arrays.  Box
+queries go through one batched corner query, dd_box_sums: the bounds of a
+batch of boxes broadcast against each other, and every box in the batch runs
+the same dd_add sequence over its 2**n corners, so a batch of K boxes costs
+2**n vectorised dd_add steps instead of K Python calls.
 """
 
 from __future__ import annotations
@@ -72,15 +76,25 @@ def dd_prefix_tables(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def dd_box_sum(hi: np.ndarray, lo: np.ndarray, ranges) -> float:
-    """Box sum by inclusion-exclusion over the 2**n corners, rounded once."""
-    ndim = hi.ndim
+def dd_box_sums(hi: np.ndarray, lo: np.ndarray, lows, highs) -> np.ndarray:
+    """Box sums by inclusion-exclusion over the 2**n corners, rounded once.
+
+    ``lows[ax]`` and ``highs[ax]`` bound the boxes [a, b) on axis ``ax`` of
+    the tables; each is an int or an integer array, and together they
+    broadcast to the shape of the batch, so one call answers every box of,
+    say, a slab of split positions.  Axes of the tables beyond ``len(lows)``
+    (a stack of tables) trail the batch axes in the result.  Corner ``mask``
+    takes the low bound on the axes whose bit is set, with sign
+    (-1)**popcount(mask), and the corners are accumulated with dd_add in
+    increasing mask order.  Every element of the batch runs that same
+    sequence of operations, so it equals the one-box query bit for bit.
+    """
+    ndim = len(lows)
     acc_h, acc_l = 0.0, 0.0
     for mask in range(1 << ndim):
         idx = tuple(
-            ranges[ax][0] if (mask >> ax) & 1 else ranges[ax][1]
-            for ax in range(ndim)
+            lows[ax] if (mask >> ax) & 1 else highs[ax] for ax in range(ndim)
         )
         sign = -1.0 if bin(mask).count("1") % 2 else 1.0
         acc_h, acc_l = dd_add(acc_h, acc_l, sign * hi[idx], sign * lo[idx])
-    return float(acc_h + acc_l)
+    return acc_h + acc_l

@@ -265,7 +265,7 @@ def write_candidate(path, cand: BellmanCandidate) -> None:
 
 
 def read_candidate(path) -> BellmanCandidate:
-    from .grids import _parse_float, _TokenReader
+    from .grids import _parse_float, _parse_floats, _TokenReader
 
     tok = _TokenReader(path, "candidate")
     tok.expect("candidate")
@@ -289,7 +289,7 @@ def read_candidate(path) -> BellmanCandidate:
     count = int(tok.take()[0])
     if count != n1 * n2:
         raise PreconditionError(f"candidate value count mismatch in {path}")
-    values = np.array([_parse_float(t) for t in tok.take(count)]).reshape(n1, n2)
+    values = _parse_floats(tok.take(count)).reshape(n1, n2)
     table = CandidateTable(
         xi=np.linspace(xi0, xi1, n1), eta=np.linspace(eta0, eta1, n2), values=values
     )

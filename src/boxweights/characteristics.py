@@ -20,7 +20,10 @@ boxes in that order, and a row's maximum replaces the incumbent when it is
 larger, or equal with a lexicographically smaller box.
 
 The scan refuses (PreconditionError) a grid whose prefix tables cannot
-certify exact box sums; see grids.PrefixTables.precision_margin.
+certify exact box sums; see grids.PrefixTables.precision_margin.  A grid
+with an overflowed moment cell is scanned with that cell's moments read as
+0, which counts its boxes, and reports +inf at the lexicographically
+smallest box whose value is +inf, as the oracle does; see _overflow_argmax.
 
 Screened two-pass row kernel
 ----------------------------
@@ -86,10 +89,10 @@ class CharacteristicReport:
 
     value is the supremum over positive-measure boxes (>= 1 always, +inf if
     a moment cell overflowed and centring w by a power of two does not
-    recover every cell); argmax_box attains it; boxes_scanned counts every
-    positive-measure box of the grid (0 for the overflow short-circuit),
-    whether the screen bounded it or pass 2 evaluated it.  Screening never
-    changes value, argmax_box or boxes_scanned: they equal those of the
+    recover every cell); argmax_box is the lexicographically smallest box
+    that attains it; boxes_scanned counts every positive-measure box of the
+    grid, whether the screen bounded it or pass 2 evaluated it.  Screening
+    never changes value, argmax_box or boxes_scanned: they equal those of the
     exhaustive exact scan.  exact_rows counts the rows that pass 2
     re-evaluated in double-double; it is a diagnostic and enters no CSV.
     """
@@ -151,21 +154,56 @@ def characteristic(
     if scan_weight is not weight:
         tables = PrefixTables(measure, scan_weight, (1.0, s2))
 
-    bad = tables.first_nonfinite_cell(s2)
-    if bad is not None:
-        return CharacteristicReport(
-            kind=kind,
-            exponent=q,
-            value=math.inf,
-            argmax_box=BoxIdx(tuple((i, i + 1) for i in bad)),
-            boxes_scanned=0,
-        )
-
-    tables.certify(max((None, 1.0, s2), key=tables.precision_margin))
+    bad = [c for c in map(tables.first_nonfinite_cell, (1.0, s2)) if c is not None]
+    # With an overflowed cell only the boxes lexicographically below the first
+    # box that holds one need exact values (see _overflow_argmax); at cell
+    # (0, ..., 0) there are none, and only the mass table, whose zero sums
+    # decide the box count, has to be exact.
+    exact_tables = (None,) if bad and not any(min(bad)) else (None, 1.0, s2)
+    tables.certify(max(exact_tables, key=tables.precision_margin))
     value, box, count, exact = _scan(tables, kind, q, s2)
+    if bad:
+        value, box = math.inf, _overflow_argmax(tables, kind, q, s2, min(bad), value, box)
     return CharacteristicReport(
         kind=kind, exponent=q, value=value, argmax_box=box, boxes_scanned=count, exact_rows=exact
     )
+
+
+def _overflow_argmax(tables, kind, q, s2, cell, value, box):
+    """Lexicographically smallest box of value +inf when a moment cell overflowed.
+
+    The tables hold 0 for the non-finite cells, so the scan's values are
+    exact on every box that holds none, and wrong on the rest.  Every box that
+    holds a non-finite cell is lexicographically at least R0 = ((0, i1 + 1),
+    (0, i2 + 1), ...), (i1, i2, ...) the row-major first such cell: a smaller
+    box either ends on axis 1 before row i1, which holds none, or agrees with
+    R0 up to some axis k and ends before i_k there, where the rows it covers
+    hold none before (i1, ..., i_k).  So a scanned +inf box below R0 is the
+    answer, and otherwise R0 is, provided its value is +inf.  R0's sums are
+    taken with math.fsum, as the oracle takes them, and its moment sums are
+    +inf where it holds a non-finite cell.  That gives R0 the value nan, not
+    +inf, when <w> over R0 is 0 (ap: 0 * inf) or +inf (rh: inf / inf); the
+    first +inf box then lies further on, and the grid is refused.
+    """
+    first = tuple((0, i + 1) for i in cell)
+    if value == math.inf and box.ranges < first:
+        return box
+    slc = BoxIdx(first).as_slices()
+    sums = []
+    for s in (None, 1.0, s2):
+        cells = tables.measure.mass if s is None else tables.cells(s)
+        try:
+            sums.append(math.fsum(cells[slc].reshape(-1).tolist()))
+        except OverflowError:  # finite cells whose sum overflows
+            sums.append(math.inf)
+    with np.errstate(all="ignore"):
+        v = _scalar_value(kind, q, *sums)
+    if v != math.inf:
+        raise PreconditionError(
+            f"a cell moment overflows at cell {cell}, and box {BoxIdx(first)}, the first that "
+            f"holds it, has no value ({v!r}): the weight's cell moments span beyond a double"
+        )
+    return BoxIdx(first)
 
 
 def _scan_weight(mass, weight, s2, cells):

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._summation import dd_box_sum, dd_prefix_tables
+from ._summation import dd_box_sums, dd_prefix_tables
 from .errors import PreconditionError, ZeroMeasureBoxError
 
 MAX_DIM = 3
@@ -282,6 +283,7 @@ class PrefixTables:
         self.weight = weight
         self._cells: dict[float, np.ndarray] = {}
         self._tables: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._stacks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._mass_table = dd_prefix_tables(measure.mass)
         self._margins: dict[float | None, tuple[float, float]] = {
             None: _certificate(measure.mass, self._mass_table[0])
@@ -352,14 +354,31 @@ class PrefixTables:
                 f"certify exact (margin {margin:.3g})"
             )
 
+    def box_sums(self, exponents, lows, highs) -> np.ndarray:
+        """Sums over a batch of boxes, shape (batch..., len(exponents)).
+
+        An entry None of ``exponents`` stands for the mass, s for the w**s
+        moment; ``lows`` and ``highs`` bound the boxes as in
+        _summation.dd_box_sums, without a shape check.  Each element equals
+        mass_sum or moment_sum of its box bit for bit.  The stacked tables
+        are cached per exponent tuple.
+        """
+        key = tuple(None if s is None else float(s) for s in exponents)
+        if key not in self._stacks:
+            tabs = [self._mass_table if s is None else self.table(s) for s in key]
+            self._stacks[key] = tuple(np.stack(t, axis=-1) for t in zip(*tabs))
+        return dd_box_sums(*self._stacks[key], lows, highs)
+
     def mass_sum(self, box: BoxIdx) -> float:
-        box.check_shape(self.measure.shape)
-        return dd_box_sum(*self._mass_table, box.ranges)
+        return self._box_sum(self._mass_table, box)
 
     def moment_sum(self, s: float, box: BoxIdx) -> float:
+        return self._box_sum(self.table(s), box)
+
+    def _box_sum(self, table, box: BoxIdx) -> float:
         box.check_shape(self.measure.shape)
-        hi, lo = self.table(s)
-        return dd_box_sum(hi, lo, box.ranges)
+        lows, highs = zip(*box.ranges)
+        return float(dd_box_sums(*table, lows, highs))
 
 
 def _certificate(cells: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
@@ -396,10 +415,18 @@ def _parse_float(tok: str) -> float:
     return float(tok)
 
 
-def _tokenize(text: str):
-    for line in text.splitlines():
-        body = line.split("#", 1)[0]
-        yield from body.split()
+def _parse_floats(toks) -> np.ndarray:
+    """Array of the tokens; per token only if one is hex or malformed."""
+    try:
+        # float() accepts no hex literal, so this matches _parse_float
+        return np.array(list(map(float, toks)))
+    except ValueError:
+        return np.array([_parse_float(t) for t in toks])
+
+
+# A comment runs to the next line end as str.splitlines sees one (open() has
+# already turned \r\n and \r into \n).
+_COMMENT = re.compile(r"#[^\n\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
 
 
 class _TokenReader:
@@ -407,7 +434,7 @@ class _TokenReader:
 
     def __init__(self, path, kind: str):
         with open(path, "r") as handle:
-            self.toks = list(_tokenize(handle.read()))
+            self.toks = _COMMENT.sub("", handle.read()).split()
         self.pos = 0
         self.path = path
         self.kind = kind
@@ -443,11 +470,11 @@ def write_grid(path, measure: GridMeasure, weight: WeightGrid) -> None:
 
 
 def _wrap_floats(arr, per_line: int = 8):
-    arr = np.asarray(arr).reshape(-1)
-    out = []
-    for i in range(0, arr.size, per_line):
-        out.append(" ".join(repr(float(v)) for v in arr[i : i + per_line]))
-    return out
+    arr = np.asarray(arr, dtype=np.float64).reshape(-1)
+    return [
+        " ".join(map(repr, arr[i : i + per_line].tolist()))
+        for i in range(0, arr.size, per_line)
+    ]
 
 
 def _atomic_write(path, text: str) -> None:
@@ -480,14 +507,14 @@ def read_grid(path) -> tuple[GridMeasure, WeightGrid]:
         if got_ax != ax:
             raise PreconditionError(f"breakpoints out of order in {path}")
         count = int(tok.take()[0])
-        bps.append(np.array([_parse_float(t) for t in tok.take(count)]))
+        bps.append(_parse_floats(tok.take(count)))
     shape = tuple(b.size - 1 for b in bps)
     tok.expect("mass")
     count = int(tok.take()[0])
-    mass = np.array([_parse_float(t) for t in tok.take(count)]).reshape(shape)
+    mass = _parse_floats(tok.take(count)).reshape(shape)
     tok.expect("values")
     count = int(tok.take()[0])
-    values = np.array([_parse_float(t) for t in tok.take(count)]).reshape(shape)
+    values = _parse_floats(tok.take(count)).reshape(shape)
     power_alpha = None
     if tok.pos < len(tok.toks):
         tok.expect("generator")

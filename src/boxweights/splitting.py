@@ -8,6 +8,12 @@ two child average points stays inside the enlarged admissible band
 {1 <= gauge <= Q1}, checked by dense sampling.  Among feasible positions
 the one with ratio closest to 1/2 wins, ties to the smaller index.
 
+A node reads the sums of all its split positions from two batched
+prefix-table queries and samples the segments of the window positions in
+chunks, in (|ratio - 1/2|, index) order; the first feasible candidate wins
+(see choose_position).  Every number equals the per-position query's, bit
+for bit, and children take their masses and points from the split.
+
 Iterating M times produces a complete binary tree of 2**M leaves that
 partition the root.  The leaf-piecewise average functions converge to the
 weight as the leaf diameters shrink; the chain report tracks the
@@ -17,6 +23,7 @@ content of segment concavity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -133,10 +140,26 @@ def segment_max(
     """Max of the gauge over the sampled segment [x_a, x_b], endpoints included."""
     if min(x_a.x1, x_a.x2, x_b.x1, x_b.x2) <= 0.0:
         raise PreconditionError("average points must have positive coordinates")
-    lam = np.linspace(0.0, 1.0, samples)
-    x1 = lam * x_a.x1 + (1.0 - lam) * x_b.x1
-    x2 = lam * x_a.x2 + (1.0 - lam) * x_b.x2
-    return float(np.max(pair_gauge(kind, p, x1, x2)))
+    ends = (np.array([v]) for v in (*x_a, *x_b))
+    return float(segment_maxima(_samples(samples), *ends, kind, p)[0])
+
+
+@functools.lru_cache(maxsize=8)
+def _samples(n: int) -> np.ndarray:
+    lam = np.linspace(0.0, 1.0, n)
+    lam.setflags(write=False)
+    return lam
+
+
+def segment_maxima(lam, a1, a2, b1, b2, kind: ClassKind, p) -> np.ndarray:
+    """segment_max of the K segments from (a1[i], a2[i]) to (b1[i], b2[i]).
+
+    One gauge evaluation over C-contiguous (K, samples) arrays; entry i equals
+    segment_max of segment i bit for bit.  Coordinates are not checked.
+    """
+    x1 = lam * a1[:, None] + (1.0 - lam) * b1[:, None]
+    x2 = lam * a2[:, None] + (1.0 - lam) * b2[:, None]
+    return pair_gauge(kind, p, x1, x2).max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -150,15 +173,8 @@ class SplitChoice:
     segment_psi_max: float
     left_point: AvgPoint
     right_point: AvgPoint
-
-
-def _box_point(tables: PrefixTables, box: BoxIdx, s2: float) -> tuple[float, AvgPoint]:
-    m = tables.mass_sum(box)
-    if m <= 0.0:
-        raise ZeroMeasureBoxError(box)
-    x1 = tables.moment_sum(1.0, box) / m
-    x2 = tables.moment_sum(s2, box) / m
-    return m, AvgPoint(x1, x2)
+    left_mass: float
+    right_mass: float
 
 
 def _split_box(box: BoxIdx, axis: int, index: int) -> tuple[BoxIdx, BoxIdx]:
@@ -181,11 +197,15 @@ def choose_position(
     """Select the split breakpoint along the axis.
 
     Feasible positions have child mass ratio in (c, 1-c) and segment maximum
-    at most Q1; candidates are tried in order of |ratio - 1/2| (ties to the
-    smaller index) so the first segment-feasible hit is the winner.  With no
-    feasible position an InfeasibleSplitError reports the ratio closest to
-    1/2 over all positions and the smallest segment maximum seen inside the
-    ratio window.
+    at most Q1.  One batched query gives the mass, w and w**s2 sums of the
+    left child of every position, hence every mass ratio; one more gives
+    those of the right children of the window positions.  The window is
+    ordered by (|ratio - 1/2|, index), and its segment maxima are evaluated
+    in chunks of 8, 16, 32, then 64 candidates; the first feasible candidate
+    in that order wins.  With no feasible position every window candidate
+    has been evaluated, and an InfeasibleSplitError reports the ratio
+    closest to 1/2 over all positions and the smallest segment maximum seen
+    inside the ratio window.
     """
     s2 = config.moment_exponent
     if tables is None:
@@ -200,39 +220,61 @@ def choose_position(
     if total <= 0.0:
         raise ZeroMeasureBoxError(box)
 
-    positions = []
-    for k in range(a + 1, b):
-        left, _ = _split_box(box, axis, k)
-        ratio = tables.mass_sum(left) / total
-        positions.append((k, ratio))
-    best_any = min(positions, key=lambda kr: (abs(kr[1] - 0.5), kr[0]))
-
-    window = [kr for kr in positions if config.c < kr[1] < 1.0 - config.c]
-    window.sort(key=lambda kr: (abs(kr[1] - 0.5), kr[0]))
-    best_psi = None
-    for k, ratio in window:
-        left, right = _split_box(box, axis, k)
-        _, x_left = _box_point(tables, left, s2)
-        _, x_right = _box_point(tables, right, s2)
-        smax = segment_max(x_left, x_right, config.kind, config.p, config.segment_samples)
-        if smax <= config.Q1:
-            return SplitChoice(
-                axis=axis,
-                index=k,
-                coord=float(measure.breakpoints[axis][k]),
-                ratio=ratio,
-                segment_psi_max=smax,
-                left_point=x_left,
-                right_point=x_right,
-            )
-        if best_psi is None or smax < best_psi:
-            best_psi = smax
+    # Mass, w and w**s2 sums of the left children of every position, then of
+    # the right children of the window positions, in (|ratio - 1/2|, k) order.
+    moments = (None, 1.0, s2)
+    ks = np.arange(a + 1, b)
+    lows, highs = (list(r) for r in zip(*box.ranges))
+    left = tables.box_sums(moments, lows, highs[:axis] + [ks] + highs[axis + 1 :])
+    ratios = left[:, 0] / total
+    inside = (config.c < ratios) & (ratios < 1.0 - config.c)
+    order = np.flatnonzero(inside)[np.lexsort((ks[inside], np.abs(ratios[inside] - 0.5)))]
+    cand = ks[order]
+    right = tables.box_sums(moments, lows[:axis] + [cand] + lows[axis + 1 :], highs)
+    children = (left[order], right)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # (x1, x2) of the left and the right children; a zero mass or a
+        # nonpositive coordinate is reported below, in candidate order.
+        points = [sums[:, 1:] / sums[:, :1] for sums in children]
+        lam = _samples(config.segment_samples)
+        best_psi = None
+        start, size = 0, 8
+        while start < cand.size:
+            chunk = slice(start, start + size)
+            ends = (x[chunk, j] for x in points for j in (0, 1))
+            smax = segment_maxima(lam, *ends, config.kind, config.p)
+            for i, psi in enumerate(smax.tolist(), start):
+                k = int(cand[i])
+                for side, sums in enumerate(children):
+                    if sums[i, 0] <= 0.0:
+                        raise ZeroMeasureBoxError(_split_box(box, axis, k)[side])
+                x_left, x_right = (AvgPoint(*x[i].tolist()) for x in points)
+                if min(*x_left, *x_right) <= 0.0:
+                    raise PreconditionError("average points must have positive coordinates")
+                if psi <= config.Q1:
+                    return SplitChoice(
+                        axis=axis,
+                        index=k,
+                        coord=float(measure.breakpoints[axis][k]),
+                        ratio=float(ratios[order[i]]),
+                        segment_psi_max=psi,
+                        left_point=x_left,
+                        right_point=x_right,
+                        left_mass=float(children[0][i, 0]),
+                        right_mass=float(children[1][i, 0]),
+                    )
+                if best_psi is None or psi < best_psi:
+                    best_psi = psi
+            # Small first chunks: the best-ratio candidate usually wins.
+            start, size = start + size, min(2 * size, 64)
+    # min over (|ratio - 1/2|, k) as Python orders the pairs, NaN included
+    _, r_best = min(zip(ks.tolist(), ratios.tolist()), key=lambda kr: (abs(kr[1] - 0.5), kr[0]))
     raise InfeasibleSplitError(
         f"no feasible split of {box} along axis {axis}: best ratio "
-        f"{best_any[1]:.6g} with window ({config.c}, {1 - config.c}), "
+        f"{r_best:.6g} with window ({config.c}, {1 - config.c}), "
         f"best segment max {best_psi}",
         box=box,
-        best_ratio=best_any[1],
+        best_ratio=r_best,
         best_segment_max=best_psi,
     )
 
@@ -249,18 +291,25 @@ def build_tree(
     The caller is responsible for having checked that the weight's
     characteristic on the root is at most config.Q; the construction itself
     only enforces the ratio window and the segment containment.  An
-    infeasible node aborts the build and reports its path.
+    infeasible node aborts the build and reports its path.  A PreconditionError
+    names the first positive-mass cell of the root box whose w or w**s2
+    moment cell is 0 or non-finite: the averages would silently leave it out.
     """
     s2 = config.moment_exponent
     if tables is None:
         tables = PrefixTables(measure, weight, (1.0, s2))
     if root_box is None:
         root_box = BoxIdx.full(measure.shape)
+    root_box.check_shape(measure.shape)
+    _check_moment_cells(tables, root_box, s2)
+    mass = tables.mass_sum(root_box)
+    if mass <= 0.0:
+        raise ZeroMeasureBoxError(root_box)
+    point = AvgPoint(tables.moment_sum(1.0, root_box) / mass, tables.moment_sum(s2, root_box) / mass)
 
     levels: list[list[SplitNode]] = [[] for _ in range(config.levels + 1)]
 
-    def grow(box: BoxIdx, level: int, path: str) -> SplitNode:
-        mass, point = _box_point(tables, box, s2)
+    def grow(box: BoxIdx, level: int, path: str, mass: float, point: AvgPoint) -> SplitNode:
         node = SplitNode(
             box=box,
             level=level,
@@ -284,12 +333,12 @@ def build_tree(
             node.segment_psi_max = choice.segment_psi_max
             left_box, right_box = _split_box(box, choice.axis, choice.index)
             node.children = (
-                grow(left_box, level + 1, path + "0"),
-                grow(right_box, level + 1, path + "1"),
+                grow(left_box, level + 1, path + "0", choice.left_mass, choice.left_point),
+                grow(right_box, level + 1, path + "1", choice.right_mass, choice.right_point),
             )
         return node
 
-    root = grow(root_box, 0, "")
+    root = grow(root_box, 0, "", mass, point)
     return SplitTree(
         config=config,
         measure=measure,
@@ -298,6 +347,20 @@ def build_tree(
         levels=levels,
         tables=tables,
     )
+
+
+def _check_moment_cells(tables: PrefixTables, box: BoxIdx, s2: float) -> None:
+    positive = tables.measure.mass[box.as_slices()] > 0.0
+    for s in (1.0, s2):
+        cells = tables.cells(s)[box.as_slices()]
+        lost = positive & ~((cells > 0.0) & (cells < math.inf))
+        if lost.any():
+            first = np.unravel_index(int(np.argmax(lost)), lost.shape)
+            cell = tuple(int(i) + a for i, (a, _) in zip(first, box.ranges))
+            raise PreconditionError(
+                f"cell moment of w**{float(s)!r} is {float(cells[first])!r} at positive-mass "
+                f"cell {cell}: it under- or overflows, and split averages would leave it out"
+            )
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,62 @@ class TestCharacteristics:
         report = characteristic(measure, weight, A, 1.05)  # w**(-20) overflows
         assert report.value == math.inf
         assert report.argmax_box == BoxIdx(((0, 1),))
-        assert report.boxes_scanned == 0
+        assert report.boxes_scanned == 6
+        got = (report.value, report.argmax_box, report.boxes_scanned)
+        assert got == naive_characteristic(measure, weight, A, 1.05)
+
+
+class TestOverflowArgmax:
+    """With an overflowed moment cell the value is +inf at the oracle's box."""
+
+    def test_first_box_holding_the_cell(self):
+        # cell 1's w**s2 overflows; the oracle's first +inf box is 0:2, not 1:2
+        measure = GridMeasure((np.arange(3.0),), np.array([7.64182922e48, 5.94977071e-37]))
+        weight = WeightGrid(np.array([8.38987030e28, 2.03937094e-61]))
+        q = 1.1165993613586842
+        report = characteristic(measure, weight, A, q)
+        got = (report.value, report.argmax_box, report.boxes_scanned)
+        assert got == (math.inf, BoxIdx(((0, 2),)), 3)
+        assert got == naive_characteristic(measure, weight, A, q)
+
+    def test_seeded_two_cell_sweep(self):
+        # masses and values in e**[-150, 150]; about 5% of the grids overflow
+        rng = np.random.default_rng(0)
+        overflowed = 0
+        for _ in range(1500):
+            measure = GridMeasure((np.arange(3.0),), np.exp(rng.uniform(-150.0, 150.0, 2)))
+            weight = WeightGrid(np.exp(rng.uniform(-150.0, 150.0, 2)))
+            if rng.random() < 0.5:
+                kind, q = A, float(rng.uniform(1.05, 3.0))
+            else:
+                kind, q = RH, float(rng.uniform(1.0, 12.0))
+            with np.errstate(all="ignore"):
+                want = naive_characteristic(measure, weight, kind, q)
+            report = characteristic(measure, weight, kind, q)
+            assert (report.value, report.argmax_box, report.boxes_scanned) == want
+            overflowed += want[0] == math.inf
+        assert overflowed >= 40
+
+    @pytest.mark.parametrize(
+        "kind, q, mass, w",
+        [
+            # w*mu and w**2*mu of cell 0 overflow: <w**2>**(1/2) / <w> is inf/inf
+            (RH, 2.0, (1e200, 1.0), (1e200, 1.0)),
+            # w*mu of cell 0 underflows to 0 and w**-20*mu overflows: 0 * inf
+            (A, 1.05, (1e-30, 1.0), (1e-300, 1.0)),
+        ],
+    )
+    def test_first_box_without_value_is_refused(self, kind, q, mass, w):
+        # no power of two centres these weights, and the first box that holds
+        # the overflowed cell has the value nan: the oracle's maximum lies
+        # elsewhere (1.0 at 1:2 for the first, +inf at 0:2 for the second)
+        measure = GridMeasure((np.arange(3.0),), np.array(mass))
+        weight = WeightGrid(np.array(w))
+        with np.errstate(all="ignore"):
+            with pytest.raises(PreconditionError, match=r"box 0:1, the first that holds it, has no value \(nan\)"):
+                characteristic(measure, weight, kind, q)
+            value, box, _ = naive_characteristic(measure, weight, kind, q)
+        assert box != BoxIdx(((0, 1),))
 
 
 class TestQScan:

@@ -253,6 +253,21 @@ class TestSplitCommand:
         assert "exceeds" in err
 
 
+    def test_lost_moment_cell_is_named(self, capsys, tmp_path):
+        # w**10 underflows in every cell; characteristic rescales w, the
+        # splitter does not and says so
+        grid = tmp_path / "tiny.txt"
+        weight = WeightGrid(np.random.default_rng(0).uniform(1.0, 2.0, 64) * 1e-40)
+        write_grid(grid, uniform_measure(64), weight)
+        code, _, err = run(
+            capsys,
+            "split", "--class", "rh", "--p", "10", "--grid", str(grid),
+            "--Q", "3", "--Q1", "3.5", "--levels", "3",
+        )
+        assert code == 2
+        assert "cell moment of w**10.0 is 0.0 at positive-mass cell (0,)" in err
+
+
 class TestBellmanVerifyCommand:
     def test_builtin_linear_passes(self, capsys):
         code, out, _ = run(

@@ -20,7 +20,14 @@ from boxweights import (
     write_grid,
 )
 from boxweights.errors import PreconditionError, ZeroMeasureBoxError
-from boxweights.grids import export_cells_csv, moment_cells, uniform_measure
+from boxweights._summation import dd_add, dd_box_sums, dd_prefix_tables
+from boxweights.grids import (
+    _TokenReader,
+    _wrap_floats,
+    export_cells_csv,
+    moment_cells,
+    uniform_measure,
+)
 
 from conftest import random_pair
 
@@ -260,7 +267,83 @@ class TestPrefixConsistency:
         assert np.all(np.isfinite(cells))
 
 
+class TestBatchedBoxSums:
+    def test_batch_equals_corner_loop(self):
+        # every element of a batched query equals the one-box corner loop
+        rng = np.random.default_rng(7)
+        for ndim in (1, 2, 3):
+            shape = tuple(int(n) for n in rng.integers(2, 7, ndim))
+            cells = np.exp(rng.uniform(-20.0, 20.0, shape)) * (rng.random(shape) < 0.8)
+            hi, lo = dd_prefix_tables(cells)
+            ends = [np.sort(rng.integers(0, m + 1, (2, 50)), axis=0) for m in shape]
+            lows = [e[0] for e in ends]
+            highs = [e[1] for e in ends]
+            batch = dd_box_sums(hi, lo, lows, highs)
+            for i in range(50):
+                acc_h, acc_l = 0.0, 0.0
+                for mask in range(1 << ndim):
+                    idx = tuple(
+                        int(lows[ax][i] if (mask >> ax) & 1 else highs[ax][i])
+                        for ax in range(ndim)
+                    )
+                    sign = -1.0 if bin(mask).count("1") % 2 else 1.0
+                    acc_h, acc_l = dd_add(acc_h, acc_l, sign * hi[idx], sign * lo[idx])
+                assert repr(float(batch[i])) == repr(float(acc_h + acc_l))
+
+    def test_stacked_tables_match_single_queries(self):
+        rng = np.random.default_rng(8)
+        measure, weight = random_pair(rng, max_cells=6, ndim_choices=(2,), zero_mass_fraction=0.2)
+        tables = PrefixTables(measure, weight, (1.0, -0.7))
+        ks = np.arange(1, measure.shape[0] + 1)
+        got = tables.box_sums((None, 1.0, -0.7), [0, 1], [ks, measure.shape[1]])
+        for row, k in zip(got.tolist(), ks.tolist()):
+            box = BoxIdx(((0, k), (1, measure.shape[1])))
+            assert row == [tables.mass_sum(box), tables.moment_sum(1.0, box), tables.moment_sum(-0.7, box)]
+
+
+def _old_tokens(text):
+    """The line-by-line tokenizer the reader replaced."""
+    return [tok for line in text.splitlines() for tok in line.split("#", 1)[0].split()]
+
+
 class TestGridFiles:
+    def test_written_bytes_unchanged(self):
+        # _wrap_floats formats exactly as repr(float(v)) per value, 8 a line
+        rng = np.random.default_rng(9)
+        arr = np.concatenate([
+            np.exp(rng.uniform(-700.0, 700.0, 37)), [0.0, -0.0, 5e-324, 1e16, 2.0**53, 0.1, 1.0 / 3.0],
+        ])
+        want = [" ".join(repr(float(v)) for v in arr[i : i + 8]) for i in range(0, arr.size, 8)]
+        assert _wrap_floats(arr) == want
+        assert _wrap_floats(arr.reshape(4, 11)) == want
+
+    def test_tokens_match_line_by_line_reader(self, tmp_path):
+        # every line end str.splitlines knows ends a comment
+        text = (
+            "# head\ngrid 1 # c\x0cdim 1\x0bbreakpoints 0 3 #x\x1c0 0.5\x1d1 #y\x1e\x85mass 2"
+            "\u2028 0.5 #z\u2029 0.5\r\nvalues 2\r1 2 # tail"
+        )
+        path = tmp_path / "odd.txt"
+        path.write_text(text, newline="")
+        with open(path) as handle:
+            expected = _old_tokens(handle.read())
+        assert _TokenReader(path, "grid").toks == expected
+        measure, weight = read_grid(path)
+        assert np.array_equal(measure.mass, [0.5, 0.5])
+        assert np.array_equal(weight.values, [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "token, error",
+        [("zz", "could not convert string to float: 'zz'"),
+         ("0x1.q", "invalid hexadecimal floating-point string")],
+    )
+    def test_bad_token_errors_unchanged(self, tmp_path, token, error):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"grid 1\ndim 1\nbreakpoints 0 3\n0 0x1p-1 {token}\n")
+        with pytest.raises(ValueError) as err:
+            read_grid(path)
+        assert str(err.value) == error
+
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         measure, weight = random_pair(rng, max_cells=6, ndim_choices=(2,))
@@ -363,8 +446,6 @@ class TestPrecisionCertificate:
             report = characteristic(measure, weight, kind, q)
         except PreconditionError as exc:
             assert "span" in str(exc)
-            return
-        if report.boxes_scanned == 0:  # overflow short-circuit
             return
         value, box, count = naive_characteristic(measure, weight, kind, q)
         assert (report.value, report.argmax_box, report.boxes_scanned) == (value, box, count)

@@ -18,9 +18,11 @@ from boxweights import (
     power_weight_grid,
     segment_max,
 )
-from boxweights.errors import InfeasibleSplitError, PreconditionError
-from boxweights.grids import uniform_measure
-from boxweights.splitting import TRACE_COLUMNS, trace_rows
+from boxweights._summation import dd_add
+from boxweights.characteristics import characteristic, pair_gauge
+from boxweights.errors import InfeasibleSplitError, PreconditionError, ZeroMeasureBoxError
+from boxweights.grids import PrefixTables, uniform_measure
+from boxweights.splitting import TRACE_COLUMNS, segment_maxima, trace_rows
 
 A = ClassKind.MUCKENHOUPT_A
 P2 = PParam(2.0)
@@ -291,3 +293,269 @@ class TestTrace:
         assert set(rows[0]) == set(TRACE_COLUMNS)
         leaf_rows = [r for r in rows if r["axis"] == ""]
         assert len(leaf_rows) == 8
+
+
+# ----------------------------------------------------------------------
+# The batched splitter against a test-local copy of the per-position loop:
+# one corner-loop box sum per query, one segment_max call per candidate.
+# ----------------------------------------------------------------------
+
+
+def _ref_box_sum(hi, lo, ranges):
+    acc_h, acc_l = 0.0, 0.0
+    for mask in range(1 << hi.ndim):
+        idx = tuple(
+            ranges[ax][0] if (mask >> ax) & 1 else ranges[ax][1] for ax in range(hi.ndim)
+        )
+        sign = -1.0 if bin(mask).count("1") % 2 else 1.0
+        acc_h, acc_l = dd_add(acc_h, acc_l, sign * hi[idx], sign * lo[idx])
+    return float(acc_h + acc_l)
+
+
+def _ref_point(tables, box, s2):
+    m = _ref_box_sum(*tables.mass_table, box.ranges)
+    if m <= 0.0:
+        raise ZeroMeasureBoxError(box)
+    x1 = _ref_box_sum(*tables.table(1.0), box.ranges) / m
+    x2 = _ref_box_sum(*tables.table(s2), box.ranges) / m
+    return m, AvgPoint(x1, x2)
+
+
+def _ref_segment_max(x_a, x_b, kind, p, samples):
+    if min(x_a.x1, x_a.x2, x_b.x1, x_b.x2) <= 0.0:
+        raise PreconditionError("average points must have positive coordinates")
+    lam = np.linspace(0.0, 1.0, samples)
+    x1 = lam * x_a.x1 + (1.0 - lam) * x_b.x1
+    x2 = lam * x_a.x2 + (1.0 - lam) * x_b.x2
+    return float(np.max(pair_gauge(kind, p, x1, x2)))
+
+
+def _ref_split_box(box, axis, k):
+    left, right = list(box.ranges), list(box.ranges)
+    a, b = box.ranges[axis]
+    left[axis], right[axis] = (a, k), (k, b)
+    return BoxIdx(tuple(left)), BoxIdx(tuple(right))
+
+
+def _ref_choose(measure, box, axis, config, tables):
+    s2 = config.moment_exponent
+    a, b = box.ranges[axis]
+    if b - a < 2:
+        raise InfeasibleSplitError(
+            f"box {box} has a single cell along axis {axis}; no interior breakpoint", box=box
+        )
+    total = _ref_box_sum(*tables.mass_table, box.ranges)
+    if total <= 0.0:
+        raise ZeroMeasureBoxError(box)
+    positions = []
+    for k in range(a + 1, b):
+        left, _ = _ref_split_box(box, axis, k)
+        positions.append((k, _ref_box_sum(*tables.mass_table, left.ranges) / total))
+    best_any = min(positions, key=lambda kr: (abs(kr[1] - 0.5), kr[0]))
+    window = [kr for kr in positions if config.c < kr[1] < 1.0 - config.c]
+    window.sort(key=lambda kr: (abs(kr[1] - 0.5), kr[0]))
+    best_psi = None
+    for k, ratio in window:
+        left, right = _ref_split_box(box, axis, k)
+        m_left, x_left = _ref_point(tables, left, s2)
+        m_right, x_right = _ref_point(tables, right, s2)
+        smax = _ref_segment_max(x_left, x_right, config.kind, config.p, config.segment_samples)
+        if smax <= config.Q1:
+            coord = float(measure.breakpoints[axis][k])
+            return (axis, k, coord, ratio, smax, x_left, x_right, m_left, m_right)
+        if best_psi is None or smax < best_psi:
+            best_psi = smax
+    raise InfeasibleSplitError(
+        f"no feasible split of {box} along axis {axis}: best ratio "
+        f"{best_any[1]:.6g} with window ({config.c}, {1 - config.c}), "
+        f"best segment max {best_psi}",
+        box=box,
+        best_ratio=best_any[1],
+        best_segment_max=best_psi,
+    )
+
+
+def _ref_tree(measure, weight, config):
+    """Node records of the tree, each child re-queried from its box."""
+    s2 = config.moment_exponent
+    tables = PrefixTables(measure, weight, (1.0, s2))
+    nodes = []
+
+    def grow(box, level, path):
+        mass, point = _ref_point(tables, box, s2)
+        record = [box.ranges, level, path, mass, tuple(point), measure.box_diameter(box)]
+        nodes.append(record)
+        split = [None] * 5
+        if level < config.levels:
+            axis = choose_direction(measure, box)
+            try:
+                choice = _ref_choose(measure, box, axis, config, tables)
+            except InfeasibleSplitError as exc:
+                exc.path = path
+                raise
+            split = list(choice[:5])
+            left, right = _ref_split_box(box, axis, choice[1])
+            record.extend(split)
+            grow(left, level + 1, path + "0")
+            grow(right, level + 1, path + "1")
+        else:
+            record.extend(split)
+
+    grow(BoxIdx.full(measure.shape), 0, "")
+    return sorted(nodes, key=lambda record: record[1])  # level by level, as tree.nodes()
+
+
+def _records(tree):
+    return [
+        [n.box.ranges, n.level, n.path, n.mass, tuple(n.point), n.diameter, n.axis,
+         n.split_index, n.split_coord, n.ratio, n.segment_psi_max]
+        for n in tree.nodes()
+    ]
+
+
+def _outcome(build):
+    """repr of every number (so -0.0 and nan compare exactly) or of the error."""
+    try:
+        return ("ok", repr(build()))
+    except (InfeasibleSplitError, ZeroMeasureBoxError, PreconditionError) as exc:
+        fields = (exc.best_ratio, exc.best_segment_max, exc.path) if isinstance(
+            exc, InfeasibleSplitError
+        ) else ()
+        return (type(exc).__name__, str(exc), repr(fields))
+
+
+def _seeded_case(rng, ndim):
+    shape = tuple(int(rng.integers(1, {1: 30, 2: 10, 3: 6}[ndim])) for _ in range(ndim))
+    bps = tuple(np.cumsum(np.r_[0.0, rng.uniform(0.2, 2.0, n)]) for n in shape)
+    style = int(rng.integers(4))
+    if style == 0:  # equal masses: ratio ties at equal distance from 1/2
+        mass = np.ones(shape)
+    elif style == 1:  # zero-mass slabs: runs of equal ratios
+        mass = np.where(rng.random(shape) < 0.4, 0.0, rng.uniform(0.5, 2.0, shape))
+        mass.flat[0] += 1.0
+    else:
+        mass = np.exp(rng.uniform(-2.0, 2.0, shape))
+    values = np.ones(shape) if style == 0 and rng.random() < 0.5 else np.exp(rng.uniform(-1, 1, shape))
+    kind = A if rng.random() < 0.5 else ClassKind.REVERSE_HOLDER
+    Q = float(rng.uniform(1.01, 3.0))
+    config = SplitConfig(
+        kind=kind,
+        p=float(rng.uniform(1.3, 4.0)),
+        Q=Q,
+        Q1=Q * float(rng.choice([1.0001, 1.001, 1.01, 1.1, 2.0])),  # tight bands reject many
+        c=float(rng.choice([0.05, 0.2, 0.3, 0.45])),
+        levels=int(rng.integers(1, 6)),
+        segment_samples=int(rng.choice([2, 17, 257])),
+    )
+    return GridMeasure(bps, mass), WeightGrid(values), config
+
+
+class TestBatchedSplitterAgainstLoop:
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_seeded_trees(self, ndim):
+        rng = np.random.default_rng(100 + ndim)
+        kinds = set()
+        for _ in range(40):
+            measure, weight, cfg = _seeded_case(rng, ndim)
+            got = _outcome(lambda: _records(build_tree(measure, weight, cfg)))
+            want = _outcome(lambda: _ref_tree(measure, weight, cfg))
+            assert got == want
+            kinds.add(got[0])
+        # both built trees and infeasible nodes are covered
+        assert {"ok", "InfeasibleSplitError"} <= kinds
+
+    def test_benchmark_power_trees(self):
+        measure, weight = power_weight_grid(0.5, 512)
+        for factor in (1.5, 1.0005):
+            cfg = config(Q=4.0 / 3.0, Q1=4.0 / 3.0 * factor, levels=7)
+            got = _outcome(lambda: _records(build_tree(measure, weight, cfg)))
+            assert got == _outcome(lambda: _ref_tree(measure, weight, cfg))
+            assert got[0] == "ok"
+
+    @pytest.mark.parametrize(
+        "mass, c, Q1",
+        [
+            ([1.0, 1.0, 1.0, 1.0], 0.2, 1.6),  # 0.25 and 0.75 tie at distance 1/4
+            ([1.0, 0.0, 0.0, 1.0], 0.2, 1.6),  # three positions at ratio 1/2
+            ([1.0, 1.0, 1.0, 1.0], 0.2, 1.0001),  # tight band: every position rejected
+            ([0.7, 0.1, 0.1, 0.1], 0.4, 1.6),  # empty window
+            ([0.0, 0.0, 1.0, 1.0], 0.2, 1.6),
+        ],
+    )
+    def test_choose_position_cases(self, mass, c, Q1):
+        measure = GridMeasure((np.linspace(0.0, 1.0, 5),), np.array(mass))
+        weight = WeightGrid(np.array([1.0, 3.0, 2.0, 4.0]))
+        cfg = config(Q=1.00001, Q1=Q1, c=c)
+        tables = PrefixTables(measure, weight, (1.0, cfg.moment_exponent))
+        def fields(choice):
+            return (choice.axis, choice.index, choice.coord, choice.ratio, choice.segment_psi_max,
+                    choice.left_point, choice.right_point, choice.left_mass, choice.right_mass)
+
+        for box in (BoxIdx(((0, 4),)), BoxIdx(((1, 4),)), BoxIdx(((1, 3),)), BoxIdx(((2, 3),))):
+            got = _outcome(lambda: fields(choose_position(measure, weight, box, 0, cfg, tables)))
+            assert got == _outcome(lambda: _ref_choose(measure, box, 0, cfg, tables))
+
+    def test_equal_distance_tie_goes_to_smaller_index(self):
+        # positions 1 and 3 sit at ratios 1/4 and 3/4 with segment maximum
+        # 10/9; position 2, at ratio 1/2, has 9/8 and fails the band
+        measure = GridMeasure((np.linspace(0.0, 1.0, 5),), np.ones(4))
+        weight = WeightGrid(np.array([1.0, 1.0, 2.0, 1.0]))
+        choice = choose_position(measure, weight, BoxIdx(((0, 4),)), 0, config(Q=1.11, Q1=1.12))
+        assert (choice.index, choice.ratio) == (1, 0.25)
+        assert choice.segment_psi_max == pytest.approx(10.0 / 9.0, rel=1e-15)
+
+    def test_zero_mass_box(self):
+        measure = GridMeasure((np.linspace(0.0, 1.0, 5),), np.array([0.0, 0.0, 1.0, 1.0]))
+        weight = WeightGrid(np.ones(4))
+        with pytest.raises(ZeroMeasureBoxError):
+            choose_position(measure, weight, BoxIdx(((0, 2),)), 0, config())
+        with pytest.raises(ZeroMeasureBoxError):
+            build_tree(measure, weight, config(levels=1), root_box=BoxIdx(((0, 2),)))
+
+    def test_single_cell_axis_in_3d(self):
+        measure = uniform_measure((1, 3, 2))
+        weight = WeightGrid(np.ones((1, 3, 2)))
+        box = BoxIdx.full((1, 3, 2))
+        with pytest.raises(InfeasibleSplitError, match="single cell"):
+            choose_position(measure, weight, box, 0, config())
+        # ratios 1/3 and 2/3 lie 0.16666666666666669 and 0.16666666666666663 from 1/2
+        cfg = config(Q=1.0001, Q1=1.05, c=0.3)
+        tables = PrefixTables(measure, weight, (1.0, cfg.moment_exponent))
+        assert choose_position(measure, weight, box, 1, cfg).index == 2
+        assert _ref_choose(measure, box, 1, cfg, tables)[1] == 2
+
+    @pytest.mark.parametrize("p", [1.37, 2.0, 3.3, 10.0])
+    @pytest.mark.parametrize("kind", [A, ClassKind.REVERSE_HOLDER])
+    def test_segment_maxima_equal_single_calls(self, kind, p):
+        rng = np.random.default_rng(int(p * 100))
+        ends = [np.exp(rng.uniform(-3.0, 3.0, 512)) for _ in range(4)]
+        lam = np.linspace(0.0, 1.0, 257)
+        batch = segment_maxima(lam, *ends, kind, p)
+        single = [
+            _ref_segment_max(AvgPoint(ends[0][i], ends[1][i]), AvgPoint(ends[2][i], ends[3][i]),
+                             kind, p, 257)
+            for i in range(512)
+        ]
+        assert batch.tolist() == single
+        assert [segment_max(AvgPoint(ends[0][i], ends[1][i]), AvgPoint(ends[2][i], ends[3][i]),
+                            kind, p) for i in range(512)] == single
+
+
+class TestLostMomentCells:
+    def test_underflowing_moment_is_named(self):
+        rng = np.random.default_rng(0)
+        measure = uniform_measure(64)
+        weight = WeightGrid(rng.uniform(1.0, 2.0, 64) * 1e-40)
+        rh = ClassKind.REVERSE_HOLDER
+        cfg = SplitConfig(kind=rh, p=10.0, Q=3.0, Q1=3.5, levels=3)
+        with pytest.raises(PreconditionError, match=r"w\*\*10\.0 is 0\.0 at positive-mass cell \(0,\)"):
+            build_tree(measure, weight, cfg)
+        # the scan rescales the same weight
+        assert characteristic(measure, weight, rh, 10.0).value == 1.2828159890069144
+
+    def test_zero_mass_cells_are_not_lost(self):
+        mass = np.array([1.0, 0.0, 1.0, 1.0])
+        measure = GridMeasure((np.linspace(0.0, 1.0, 5),), mass)
+        weight = WeightGrid(np.array([1.0, 1e-300, 1.0, 2.0]))
+        tree = build_tree(measure, weight, config(Q=1.5, Q1=2.0, c=0.2, levels=1))
+        assert tree.root.mass == 3.0
