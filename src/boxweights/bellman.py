@@ -493,6 +493,18 @@ class TrendReport:
     stability_rtol: float
 
 
+def refinement_gaps(values) -> tuple[list[float], list[float]]:
+    """Relative gaps and increment ratios of a refinement ladder of values v.
+
+    With increments d_i = v_{i+1} - v_i, the gaps are |d_i| / |v_i| and the
+    ratios d_{i+1} / d_i over nonzero d_i.
+    """
+    diffs = [b - a for a, b in zip(values, values[1:])]
+    rel_gaps = [abs(d) / abs(v) for d, v in zip(diffs, values)]
+    ratios = [d2 / d1 for d1, d2 in zip(diffs, diffs[1:]) if d1 != 0.0]
+    return rel_gaps, ratios
+
+
 def theorem_conclusion_check(
     measure: GridMeasure,
     weight: WeightGrid,
@@ -530,14 +542,10 @@ def theorem_conclusion_check(
         counts.append(int(np.prod(cur_m.shape)))
         if level < levels:
             cur_m, cur_w = refine(cur_m, cur_w, refine_factor)
-    diffs = [b - a for a, b in zip(values, values[1:])]
-    rel_gaps = [abs(d) / abs(v) for d, v in zip(diffs, values)]
-    ratios = [
-        d2 / d1 for d1, d2 in zip(diffs, diffs[1:]) if d1 != 0.0
-    ]
+    rel_gaps, ratios = refinement_gaps(values)
     last_gap = rel_gaps[-1] if rel_gaps else 0.0
     contraction = ratios[-1] if ratios else None
-    increasing = all(d > 0 for d in diffs)
+    increasing = all(b > a for a, b in zip(values, values[1:]))
     stabilized = last_gap <= stability_rtol
     if stabilized:
         verdict = "stabilizing"

@@ -19,8 +19,11 @@ Ties in the argmax break to the lexicographically smallest index tuple
 boxes in that order, and a row's maximum replaces the incumbent when it is
 larger, or equal with a lexicographically smaller box.
 
-The scan refuses (PreconditionError) a grid whose prefix tables cannot
-certify exact box sums; see grids.PrefixTables.precision_margin.  A grid
+Every box sum comes from grids.scan_tables, the one entry point to exact
+sums: it checks the pair and picks the weight to scan (w, or w centred by a
+power of two when w loses a positive-mass moment cell) before it builds the
+tables.  The scan refuses (PreconditionError) a grid whose prefix tables
+cannot certify exact box sums; see grids.PrefixTables.precision_margin.  A grid
 with an overflowed moment cell is scanned with that cell's moments read as
 0, which counts its boxes, and reports +inf at the lexicographically
 smallest box whose value is +inf, as the oracle does; see _overflow_argmax.
@@ -81,6 +84,7 @@ from ._summation import dd_sub, dd_sub_rounded
 from .errors import PreconditionError
 from .exponents import ClassKind, _as_pparam
 from .grids import BoxIdx, GridMeasure, PrefixTables, WeightGrid, moment_cells, validate
+from .grids import first_cell, scan_tables, scan_weight
 
 
 @dataclass(frozen=True)
@@ -139,22 +143,14 @@ def characteristic(
 ) -> CharacteristicReport:
     """Exact supremum of the class-(kind, q) functional over all boxes.
 
+    ``tables``, if given, must have been built for this measure and weight.
     Raises PreconditionError, naming the span of the cells, when a prefix
     table cannot certify exact box sums.
     """
-    validate(measure, weight)
     s2 = second_moment_exponent(kind, q)
-    if tables is None:
-        tables = PrefixTables(measure, weight, (1.0, s2))
-    else:
-        tables.ensure(1.0)
-        tables.ensure(s2)
-
-    scan_weight = _scan_weight(measure.mass, weight, s2, tables.cells)
-    if scan_weight is not weight:
-        tables = PrefixTables(measure, scan_weight, (1.0, s2))
-
-    bad = [c for c in map(tables.first_nonfinite_cell, (1.0, s2)) if c is not None]
+    tables = scan_tables(measure, weight, (1.0, s2), tables)
+    # row-major first overflowed moment cell of w and of w**s2
+    bad = [c for s in (1.0, s2) if (c := first_cell(~np.isfinite(tables.cells(s)))) is not None]
     # With an overflowed cell only the boxes lexicographically below the first
     # box that holds one need exact values (see _overflow_argmax); at cell
     # (0, ..., 0) there are none, and only the mass table, whose zero sums
@@ -204,32 +200,6 @@ def _overflow_argmax(tables, kind, q, s2, cell, value, box):
             f"holds it, has no value ({v!r}): the weight's cell moments span beyond a double"
         )
     return BoxIdx(first)
-
-
-def _scan_weight(mass, weight, s2, cells):
-    """The weight to scan: w, or w times the power of two that centres it on 1.
-
-    Both characteristics are invariant under w -> c*w.  When a positive-mass
-    moment cell (``cells(s)`` for s in 1 and s2) is 0 or non-finite and the
-    centred weight (scaled with ldexp) loses none, the centred weight
-    is scanned; otherwise w is kept, so a scale that cannot recover every
-    cell never turns a finite supremum into +inf.
-    """
-    positive = mass > 0.0
-
-    def whole(cells):
-        return all(
-            np.all((c[positive] > 0.0) & (c[positive] < math.inf)) for c in map(cells, (1.0, s2))
-        )
-
-    if whole(cells):
-        return weight
-    w = weight.values[positive]
-    shift = round(-0.5 * (math.log2(w.min()) + math.log2(w.max())))
-    with np.errstate(over="ignore", under="ignore"):
-        # zero-mass cells contribute 0 whatever their weight
-        centred = np.where(positive, np.ldexp(weight.values, shift), 1.0)
-    return WeightGrid(centred) if whole(lambda s: moment_cells(mass, centred, s)) else weight
 
 
 def ap_characteristic(measure, weight, p, tables=None) -> CharacteristicReport:
@@ -370,14 +340,17 @@ def _scan(tables, kind, q, s2):
 def _row(stack, a, kind, q):
     """Pass 2: exact values of the boxes whose last-axis range starts at a.
 
-    Returns the values, shaped (n - a,) or (n - a, K), and how many of the
-    boxes have positive mass.
+    Returns the values, shaped (n - a,) or (n - a, K), nan read as -inf, and
+    how many of the boxes have positive mass.
     """
     (mh, ml), (wh, wl), (sh, sl) = stack
     m = dd_sub_rounded(mh[a + 1 :], ml[a + 1 :], mh[a], ml[a])
     sw = dd_sub_rounded(wh[a + 1 :], wl[a + 1 :], wh[a], wl[a])
     ss = dd_sub_rounded(sh[a + 1 :], sl[a + 1 :], sh[a], sl[a])
-    return _vec_values(kind, q, m, sw, ss), int(np.count_nonzero(m > 0.0))
+    vals = _vec_values(kind, q, m, sw, ss)
+    # A nan value (sw and ss both 0) never wins, as in the oracle's v > best;
+    # its box still counts.
+    return np.where(np.isnan(vals), -np.inf, vals), int(np.count_nonzero(m > 0.0))
 
 
 def _screen(h, l, kind, q):
@@ -442,9 +415,9 @@ def naive_characteristic(measure, weight, kind: ClassKind, q: float):
     validate(measure, weight)
     s2 = second_moment_exponent(kind, q)
     mass = measure.mass
-    weight = _scan_weight(mass, weight, s2, lambda s: moment_cells(mass, weight.values, s))
-    wcells = moment_cells(mass, weight.values, 1.0)
-    scells = moment_cells(mass, weight.values, s2)
+    moments = {s: moment_cells(mass, weight.values, s) for s in (1.0, s2)}
+    _, moments = scan_weight(mass, weight, moments)
+    wcells, scells = moments[1.0], moments[s2]
     shape = measure.shape
 
     best = -math.inf

@@ -28,6 +28,7 @@ from .bellman import (
     AveragePairRegion,
     builtin_candidate,
     read_candidate,
+    refinement_gaps,
     theorem_conclusion_check,
     verify_candidate,
 )
@@ -92,7 +93,7 @@ def _write_csv(path, params: dict, columns, rows) -> None:
     buf = _header_lines(params)
     buf.append(",".join(columns))
     for row in rows:
-        buf.append(",".join(str(row[c]) for c in columns))
+        buf.append(",".join(str(row.get(c, "")) for c in columns))
     _atomic_write(path, "\n".join(buf) + "\n")
 
 
@@ -105,62 +106,37 @@ def _fmt(x: float) -> str:
 # ----------------------------------------------------------------------
 
 
+def _print_row(row: dict) -> None:
+    """The row of a one-row CSV as key=value pairs on stdout."""
+    print(" ".join(f"{key}={value}" for key, value in row.items()))
+
+
 def cmd_exponents(args) -> int:
     rng = sharp_range(_kind(args.klass), PParam(args.p), args.Q)
-    print(
-        f"class={args.klass} p={_fmt(args.p)} Q={_fmt(args.Q)} "
-        f"s_minus={_fmt(rng.s_minus)} s_plus={_fmt(rng.s_plus)} "
-        f"a_lower={_fmt(rng.a_lower)} rh_upper={_fmt(rng.rh_upper)}"
-    )
+    row = {"class": args.klass, "p": _fmt(args.p), "Q": _fmt(args.Q)}
+    for name in ("s_minus", "s_plus", "a_lower", "rh_upper"):
+        row[name] = _fmt(getattr(rng, name))
+    _print_row(row)
     if args.csv:
         params = {"command": "exponents", "class": args.klass, "p": args.p, "Q": args.Q}
-        _write_csv(
-            args.csv,
-            params,
-            ("class", "p", "Q", "s_minus", "s_plus", "a_lower", "rh_upper"),
-            [
-                {
-                    "class": args.klass,
-                    "p": _fmt(args.p),
-                    "Q": _fmt(args.Q),
-                    "s_minus": _fmt(rng.s_minus),
-                    "s_plus": _fmt(rng.s_plus),
-                    "a_lower": _fmt(rng.a_lower),
-                    "rh_upper": _fmt(rng.rh_upper),
-                }
-            ],
-        )
+        _write_csv(args.csv, params, tuple(row), [row])
     return 0
 
 
 def cmd_characteristic(args) -> int:
     measure, weight = read_grid(args.grid)
     report = characteristic(measure, weight, _kind(args.klass), args.p)
-    print(
-        f"class={args.klass} q={_fmt(args.p)} value={_fmt(report.value)} "
-        f"argmax={report.argmax_box} boxes_scanned={report.boxes_scanned}"
-    )
+    row = {
+        "class": args.klass,
+        "q": _fmt(args.p),
+        "value": _fmt(report.value),
+        "argmax": str(report.argmax_box),
+        "boxes_scanned": report.boxes_scanned,
+    }
+    _print_row(row)
     if args.csv:
-        params = {
-            "command": "characteristic",
-            "class": args.klass,
-            "p": args.p,
-            "grid": args.grid,
-        }
-        _write_csv(
-            args.csv,
-            params,
-            ("class", "q", "value", "argmax", "boxes_scanned"),
-            [
-                {
-                    "class": args.klass,
-                    "q": _fmt(args.p),
-                    "value": _fmt(report.value),
-                    "argmax": str(report.argmax_box),
-                    "boxes_scanned": report.boxes_scanned,
-                }
-            ],
-        )
+        params = {"command": "characteristic", "class": args.klass, "p": args.p, "grid": args.grid}
+        _write_csv(args.csv, params, tuple(row), [row])
     return 0
 
 
@@ -199,6 +175,12 @@ def cmd_sharpness(args) -> int:
             f"N={n} [{probe.value}] q={critical_q:g}: {critical.value:.9f}   "
             f"q={inside_q:g}: {inside.value:.9f}"
         )
+    for label in ("critical", "inside"):
+        gaps, ratios = refinement_gaps([float(row[f"{label}_value"]) for row in rows])
+        print(
+            f"{label}: rel gaps {['%.4f' % g for g in gaps]}, "
+            f"increment ratios {['%.3f' % r for r in ratios]}"
+        )
     params = {
         "command": "sharpness",
         "class": args.klass,
@@ -225,7 +207,9 @@ def cmd_split(args) -> int:
     measure, weight = read_grid(args.grid)
     kind = _kind(args.klass)
     p = PParam(args.p)
-    base = characteristic(measure, weight, kind, args.p)
+    # The Q check and the tree share the grid's mass, w and w**s2 tables.
+    tables = PrefixTables(measure, weight)
+    base = characteristic(measure, weight, kind, args.p, tables)
     Q = args.Q if args.Q else base.value
     if base.value > Q * (1.0 + 1e-9):
         raise PreconditionError(
@@ -241,7 +225,7 @@ def cmd_split(args) -> int:
         levels=args.levels,
         segment_samples=args.samples,
     )
-    tree = build_tree(measure, weight, config)
+    tree = build_tree(measure, weight, config, tables=tables)
     for level in range(tree.depth + 1):
         nodes = tree.levels[level]
         ratios = [n.ratio for n in nodes if n.ratio is not None]
@@ -318,10 +302,6 @@ def cmd_bellman_verify(args) -> int:
         rows = [
             {
                 "record": "summary",
-                "lam": "",
-                "deficit": "",
-                "x_a": "",
-                "x_b": "",
                 "verdict": verdict,
                 "violations": len(report.violations),
                 "boundary_max_error": _fmt(report.boundary_max_error),
@@ -336,28 +316,11 @@ def cmd_bellman_verify(args) -> int:
                     "deficit": _fmt(v.deficit),
                     "x_a": f"{v.x_a[0]!r}|{v.x_a[1]!r}",
                     "x_b": f"{v.x_b[0]!r}|{v.x_b[1]!r}",
-                    "verdict": "",
-                    "violations": "",
-                    "boundary_max_error": "",
-                    "c_hat": "",
                 }
             )
-        _write_csv(
-            args.report,
-            params,
-            (
-                "record",
-                "lam",
-                "deficit",
-                "x_a",
-                "x_b",
-                "verdict",
-                "violations",
-                "boundary_max_error",
-                "c_hat",
-            ),
-            rows,
-        )
+        columns = ("record", "lam", "deficit", "x_a", "x_b", "verdict", "violations",
+                   "boundary_max_error", "c_hat")
+        _write_csv(args.report, params, columns, rows)
     return 0
 
 

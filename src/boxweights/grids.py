@@ -10,14 +10,21 @@ weights enter only through exact cell averaging at generation time.
 Box sums of mass, w*mass and w**s*mass are answered from compensated
 (double-double) prefix tables, so each query returns the correctly rounded
 double of the exact sum over the requested cells.
+
+scan_tables is the scan's one entry point to these sums: it checks the pair
+and tabulates the weight scan_weight picks, w or w centred by a power of
+two.  lost_moment_cell is the one test for a positive-mass moment cell lost
+to under- or overflow; the splitter refuses a box with it.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import re
 import tempfile
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +33,13 @@ from ._summation import dd_box_sums, dd_prefix_tables
 from .errors import PreconditionError, ZeroMeasureBoxError
 
 MAX_DIM = 3
+
+
+def first_cell(mask: np.ndarray):
+    """Index tuple of the row-major first True cell of ``mask``, or None."""
+    if not mask.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(mask)), mask.shape))
 
 
 @dataclass(frozen=True)
@@ -105,12 +119,10 @@ class GridMeasure:
                 raise PreconditionError(
                     f"axis {ax}: breakpoints not strictly increasing at index {j}"
                 )
-        if not np.all(np.isfinite(mass)):
-            idx = np.unravel_index(int(np.argmin(np.isfinite(mass))), mass.shape)
-            raise PreconditionError(f"non-finite mass at cell {tuple(int(i) for i in idx)}")
-        if np.any(mass < 0):
-            idx = np.unravel_index(int(np.argmax(mass < 0)), mass.shape)
-            raise PreconditionError(f"negative mass at cell {tuple(int(i) for i in idx)}")
+        if (cell := first_cell(~np.isfinite(mass))) is not None:
+            raise PreconditionError(f"non-finite mass at cell {cell}")
+        if (cell := first_cell(mass < 0)) is not None:
+            raise PreconditionError(f"negative mass at cell {cell}")
         if not mass.sum() > 0:
             raise PreconditionError("total mass must be positive")
         for b in bps:
@@ -157,12 +169,10 @@ class WeightGrid:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(values)):
-            idx = np.unravel_index(int(np.argmin(np.isfinite(values))), values.shape)
-            raise PreconditionError(f"non-finite weight value at cell {tuple(int(i) for i in idx)}")
-        if np.any(values <= 0):
-            idx = np.unravel_index(int(np.argmax(values <= 0)), values.shape)
-            raise PreconditionError(f"non-positive weight at cell {tuple(int(i) for i in idx)}")
+        if (cell := first_cell(~np.isfinite(values))) is not None:
+            raise PreconditionError(f"non-finite weight value at cell {cell}")
+        if (cell := first_cell(values <= 0)) is not None:
+            raise PreconditionError(f"non-positive weight at cell {cell}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -172,9 +182,10 @@ class WeightGrid:
 
 
 def validate(measure: GridMeasure, weight: WeightGrid):
-    """Re-check all pair invariants; returns the pair on success."""
-    GridMeasure(measure.breakpoints, measure.mass)
-    WeightGrid(weight.values, weight.power_alpha)
+    """Check that the weight lies on the measure's lattice; returns the pair.
+
+    The constructors have checked every field and frozen the arrays.
+    """
     if weight.values.shape != measure.shape:
         raise PreconditionError(
             f"weight shape {weight.values.shape} does not match "
@@ -263,63 +274,127 @@ def moment_cells(mass: np.ndarray, values: np.ndarray, s: float) -> np.ndarray:
     return cells
 
 
+def lost_moment_cell(mass: np.ndarray, moments: dict):
+    """First positive-mass cell whose moment is 0 or non-finite, or None.
+
+    Returns (s, cell, moment): s the first exponent of ``moments`` (s -> the
+    moment_cells of w**s) that loses a cell, cell its row-major first such
+    cell.  Box sums would silently leave that cell out.
+    """
+    for s, cells in moments.items():
+        cell = first_cell((mass > 0.0) & ~((cells > 0.0) & (cells < math.inf)))
+        if cell is not None:
+            return s, cell, float(cells[cell])
+    return None
+
+
+def scan_weight(mass: np.ndarray, weight: WeightGrid, moments: dict):
+    """(weight, moments) to scan: w, or w centred on 1 by a power of two.
+
+    Both characteristics are invariant under w -> c*w.  When w loses a
+    moment cell (lost_moment_cell), w times the power of two nearest
+    1/sqrt(min w * max w) over positive-mass cells (zero-mass cells get 1)
+    is taken if it loses none; otherwise w is kept, so a scale that cannot
+    recover every cell never turns a finite supremum into +inf.
+    """
+    if lost_moment_cell(mass, moments) is None:
+        return weight, moments
+    positive = mass > 0.0
+    w = weight.values[positive]
+    shift = round(-0.5 * (math.log2(w.min()) + math.log2(w.max())))
+    with np.errstate(over="ignore", under="ignore"):
+        centred = np.where(positive, np.ldexp(weight.values, shift), 1.0)
+    recentred = {s: moment_cells(mass, centred, s) for s in moments}
+    if lost_moment_cell(mass, recentred) is not None:
+        return weight, moments
+    return WeightGrid(centred), recentred
+
+
+def scan_tables(measure: GridMeasure, weight: WeightGrid, exponents, tables=None):
+    """Tables of the mass and the w**s moments of the weight scan_weight picks.
+
+    ``tables``, if given, must belong to this very pair.  The weight is
+    picked from the moment cells before any moment table is built, so a call
+    builds at most one table set, and none given fitting tables that keep w;
+    the tables of a centred weight share the mass table.
+    """
+    if tables is None:
+        tables = PrefixTables(measure, weight)
+    elif tables.measure is not measure or tables.weight is not weight:
+        raise PreconditionError("prefix tables were built for another measure or weight")
+    moments = {float(s): tables._moment_cells(float(s)) for s in exponents}
+    chosen, moments = scan_weight(measure.mass, weight, moments)
+    if chosen is not weight:
+        tables = tables._for_weight(chosen)
+    for s, cells in moments.items():
+        tables._add(s, cells)
+    return tables
+
+
+_Table = namedtuple("_Table", "cells hi lo margin span")
+
+
 class PrefixTables:
     """Cached double-double cumulative tables for box-sum queries.
 
-    One table per requested moment exponent plus the plain mass table.
-    Tables are immutable once built; ensure() extends the cache to new
-    exponents.  The raw per-cell moment arrays are exposed for independent
-    summation oracles.
-
-    Each table carries a precision certificate, made when it is built from
-    its largest prefix sum and smallest positive cell (see
+    One record per key, None for the mass and s for the w**s moments, built
+    when first asked for: the cells (raw arrays for independent summation
+    oracles), the immutable prefix table and its precision certificate,
+    made from the largest prefix sum and the smallest positive cell (see
     precision_margin).  Below 1, every box sum the characteristic scan reads
-    from it is the correctly rounded exact sum.
+    from the table is the correctly rounded exact sum.
     """
 
     def __init__(self, measure: GridMeasure, weight: WeightGrid, exponents=()):
         validate(measure, weight)
         self.measure = measure
         self.weight = weight
-        self._cells: dict[float, np.ndarray] = {}
-        self._tables: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._records: dict[float | None, _Table] = {}
         self._stacks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._mass_table = dd_prefix_tables(measure.mass)
-        self._margins: dict[float | None, tuple[float, float]] = {
-            None: _certificate(measure.mass, self._mass_table[0])
-        }
+        self._add(None, measure.mass)
         for s in exponents:
-            self.ensure(float(s))
+            self._record(s)
 
-    def ensure(self, s: float) -> None:
-        s = float(s)
-        if s in self._tables:
+    def _for_weight(self, weight: WeightGrid) -> "PrefixTables":
+        """Tables of another weight on the same lattice, sharing the mass record."""
+        other = copy.copy(self)
+        other.weight, other._stacks, other._records = weight, {}, {None: self._records[None]}
+        return other
+
+    def _moment_cells(self, s: float) -> np.ndarray:
+        if s in self._records:
+            return self._records[s].cells
+        return moment_cells(self.measure.mass, self.weight.values, s)
+
+    def _add(self, key, cells: np.ndarray) -> None:
+        if key in self._records:
             return
-        cells = moment_cells(self.measure.mass, self.weight.values, s)
-        self._cells[s] = cells
         finite = np.where(np.isfinite(cells), cells, 0.0)
-        self._tables[s] = dd_prefix_tables(finite)
-        self._margins[s] = _certificate(finite, self._tables[s][0])
+        hi, lo = dd_prefix_tables(finite)
+        positive = finite[finite > 0.0]
+        margin, span = 0.0, 1.0
+        if positive.size:
+            top, smallest = float(np.abs(hi).max()), float(positive.min())
+            if cells.size > 2:
+                margin = top * 2.0**-103 / float(np.spacing(smallest))
+            span = top / smallest
+        self._records[key] = _Table(cells, hi, lo, margin, span)
+
+    def _record(self, s: float | None) -> _Table:
+        key = None if s is None else float(s)
+        self._add(key, self._moment_cells(key))
+        return self._records[key]
 
     def cells(self, s: float) -> np.ndarray:
-        self.ensure(s)
-        return self._cells[float(s)]
+        return self._record(s).cells
 
-    def first_nonfinite_cell(self, s: float):
-        """Index of the first overflowed moment cell in row-major order, or None."""
-        cells = self.cells(s)
-        bad = ~np.isfinite(cells)
-        if not bad.any():
-            return None
-        return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
-
-    def table(self, s: float) -> tuple[np.ndarray, np.ndarray]:
-        self.ensure(s)
-        return self._tables[float(s)]
+    def table(self, s: float | None) -> tuple[np.ndarray, np.ndarray]:
+        record = self._record(s)
+        return record.hi, record.lo
 
     @property
     def mass_table(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._mass_table
+        return self.table(None)
 
     def precision_margin(self, s: float | None = None) -> float:
         """Certificate of the mass table (s None) or the w**s table.
@@ -337,21 +412,17 @@ class PrefixTables:
         rounded exact sum, however long the rows.  A row of at most two cells
         needs no bound: each entry and box sum is one two_sum of the cells.
         """
-        if s is not None:
-            self.ensure(s)
-            s = float(s)
-        return self._margins[s][0]
+        return self._record(s).margin
 
     def certify(self, s: float | None = None) -> None:
         """Raise PreconditionError if the table's margin is not below 1."""
-        margin = self.precision_margin(s)
-        if not margin < 1.0:
-            span = self._margins[None if s is None else float(s)][1]
+        record = self._record(s)
+        if not record.margin < 1.0:
             what = "cell masses" if s is None else f"cell moments of w**{float(s)!r}"
             raise PreconditionError(
-                f"{what} span {span:.3g} (largest prefix sum over smallest positive "
+                f"{what} span {record.span:.3g} (largest prefix sum over smallest positive "
                 f"cell), beyond the about 2**51 that double-double prefix tables "
-                f"certify exact (margin {margin:.3g})"
+                f"certify exact (margin {record.margin:.3g})"
             )
 
     def box_sums(self, exponents, lows, highs) -> np.ndarray:
@@ -365,31 +436,17 @@ class PrefixTables:
         """
         key = tuple(None if s is None else float(s) for s in exponents)
         if key not in self._stacks:
-            tabs = [self._mass_table if s is None else self.table(s) for s in key]
+            tabs = [self.table(s) for s in key]
             self._stacks[key] = tuple(np.stack(t, axis=-1) for t in zip(*tabs))
         return dd_box_sums(*self._stacks[key], lows, highs)
 
     def mass_sum(self, box: BoxIdx) -> float:
-        return self._box_sum(self._mass_table, box)
+        return self.moment_sum(None, box)
 
-    def moment_sum(self, s: float, box: BoxIdx) -> float:
-        return self._box_sum(self.table(s), box)
-
-    def _box_sum(self, table, box: BoxIdx) -> float:
+    def moment_sum(self, s: float | None, box: BoxIdx) -> float:
         box.check_shape(self.measure.shape)
         lows, highs = zip(*box.ranges)
-        return float(dd_box_sums(*table, lows, highs))
-
-
-def _certificate(cells: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
-    """(margin, span) of a table: see PrefixTables.precision_margin."""
-    positive = cells[cells > 0.0]
-    if positive.size == 0:
-        return 0.0, 1.0
-    top = float(np.abs(hi).max())
-    smallest = float(positive.min())
-    margin = 0.0 if cells.size <= 2 else top * 2.0**-103 / float(np.spacing(smallest))
-    return margin, top / smallest
+        return float(dd_box_sums(*self.table(s), lows, highs))
 
 
 def box_average(measure, weight, box: BoxIdx, s: float, tables: PrefixTables | None = None) -> float:

@@ -30,10 +30,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .characteristics import pair_gauge
+from .characteristics import pair_gauge, second_moment_exponent
 from .errors import InfeasibleSplitError, PreconditionError, ZeroMeasureBoxError
 from .exponents import ClassKind, PParam, _as_pparam
-from .grids import BoxIdx, GridMeasure, PrefixTables, WeightGrid
+from .grids import BoxIdx, GridMeasure, PrefixTables, WeightGrid, lost_moment_cell
 
 DEFAULT_RATIO_C = 0.2
 DEFAULT_SEGMENT_SAMPLES = 257
@@ -76,7 +76,7 @@ class SplitConfig:
 
     @property
     def moment_exponent(self) -> float:
-        return self.p.p1 if self.kind is ClassKind.MUCKENHOUPT_A else self.p.p
+        return second_moment_exponent(self.kind, self.p.p)
 
 
 @dataclass
@@ -301,7 +301,15 @@ def build_tree(
     if root_box is None:
         root_box = BoxIdx.full(measure.shape)
     root_box.check_shape(measure.shape)
-    _check_moment_cells(tables, root_box, s2)
+    slices = root_box.as_slices()
+    lost = lost_moment_cell(measure.mass[slices], {s: tables.cells(s)[slices] for s in (1.0, s2)})
+    if lost is not None:
+        s, first, moment = lost
+        cell = tuple(i + a for i, (a, _) in zip(first, root_box.ranges))
+        raise PreconditionError(
+            f"cell moment of w**{float(s)!r} is {moment!r} at positive-mass cell {cell}: it "
+            f"under- or overflows, and split averages would leave it out"
+        )
     mass = tables.mass_sum(root_box)
     if mass <= 0.0:
         raise ZeroMeasureBoxError(root_box)
@@ -347,20 +355,6 @@ def build_tree(
         levels=levels,
         tables=tables,
     )
-
-
-def _check_moment_cells(tables: PrefixTables, box: BoxIdx, s2: float) -> None:
-    positive = tables.measure.mass[box.as_slices()] > 0.0
-    for s in (1.0, s2):
-        cells = tables.cells(s)[box.as_slices()]
-        lost = positive & ~((cells > 0.0) & (cells < math.inf))
-        if lost.any():
-            first = np.unravel_index(int(np.argmax(lost)), lost.shape)
-            cell = tuple(int(i) + a for i, (a, _) in zip(first, box.ranges))
-            raise PreconditionError(
-                f"cell moment of w**{float(s)!r} is {float(cells[first])!r} at positive-mass "
-                f"cell {cell}: it under- or overflows, and split averages would leave it out"
-            )
 
 
 @dataclass(frozen=True)

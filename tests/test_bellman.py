@@ -18,6 +18,7 @@ from boxweights.bellman import (
     Membership,
     builtin_candidate,
     read_candidate,
+    refinement_gaps,
     tabulate_candidate,
     write_candidate,
 )
@@ -206,6 +207,13 @@ class TestConclusionCheck:
         measure, weight = power_weight_grid(0.5, 256)
         with pytest.raises(PreconditionError, match="exceeds"):
             theorem_conclusion_check(measure, weight, A, P2, 2.0, Q=1.05)
+
+    def test_refinement_gaps(self):
+        gaps, ratios = refinement_gaps([1.0, 2.0, 2.5, 2.5, 2.0])
+        assert gaps == [1.0, 0.25, 0.0, 0.2]
+        # a zero increment has no ratio after it
+        assert ratios == [0.5, 0.0]
+        assert refinement_gaps([3.0]) == ([], [])
 
     def test_base_and_level_zero_share_tables(self, table_builds):
         measure, weight = power_weight_grid(0.5, 64)

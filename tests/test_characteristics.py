@@ -268,6 +268,65 @@ class TestScaleInvariance:
         assert (report.value, report.argmax_box, report.boxes_scanned) == (value, box, count)
 
 
+class TestExactTableLayer:
+    """characteristic reads its sums from one grids.scan_tables call."""
+
+    @pytest.fixture
+    def prefix_calls(self, monkeypatch):
+        from boxweights import grids
+
+        calls = []
+        build = grids.dd_prefix_tables
+
+        def counting(cells):
+            calls.append(cells.shape)
+            return build(cells)
+
+        monkeypatch.setattr(grids, "dd_prefix_tables", counting)
+        return calls
+
+    def test_rescaled_grid_builds_one_table_set(self, table_builds, prefix_calls):
+        # w**10 underflows in every cell, so w is centred before any moment
+        # table is built: mass, w and w**10 of the centred weight only
+        measure = uniform_measure((6, 5))
+        weight = WeightGrid(np.random.default_rng(0).uniform(1.0, 2.0, (6, 5)) * 1e-40)
+        report = characteristic(measure, weight, RH, 10.0)
+        assert (report.value, str(report.argmax_box)) == (1.2828159890069146, "2:3;1:4")
+        assert len(table_builds) == 1
+        assert len(prefix_calls) == 3
+
+    def test_fitting_tables_need_no_build(self, table_builds, prefix_calls):
+        measure, weight = power_weight_grid(0.5, 64)
+        tables = PrefixTables(measure, weight, (1.0, -1.0))
+        del table_builds[:], prefix_calls[:]
+        report = characteristic(measure, weight, A, 2.0, tables)
+        assert (table_builds, prefix_calls) == ([], [])
+        assert report == characteristic(measure, weight, A, 2.0)
+
+    def test_tables_of_another_grid_are_refused(self):
+        measure, weight = power_weight_grid(0.5, 8)
+        other = PrefixTables(*power_weight_grid(2.0, 8))
+        with pytest.raises(PreconditionError, match="another measure or weight"):
+            characteristic(measure, weight, A, 2.0, other)
+        # the same values on another pair are still another grid
+        with pytest.raises(PreconditionError, match="another measure or weight"):
+            characteristic(measure, weight, A, 2.0, PrefixTables(*power_weight_grid(0.5, 8)))
+
+    def test_nan_box_never_wins_its_row(self):
+        # sw and ss of box 1:2 both underflow to 0, so its value is nan; the
+        # row 0 maximum is at 0:2, and box 1:2 still counts
+        measure = GridMeasure(
+            (np.arange(3.0),), np.array([4.936275671532364e-164, 4.881095512916996e-159])
+        )
+        weight = WeightGrid(np.array([6.409018138508776e-165, 1.516190293307694e36]))
+        report = characteristic(measure, weight, RH, 8.461094268187766)
+        assert (report.value, str(report.argmax_box), report.boxes_scanned) == (
+            1.0000089178021618, "0:2", 3,
+        )
+        value, box, count = naive_characteristic(measure, weight, RH, 8.461094268187766)
+        assert (report.value, report.argmax_box, report.boxes_scanned) == (value, box, count)
+
+
 class TestOracleEquivalence:
     def test_exact_agreement_small_grids(self):
         rng = np.random.default_rng(123)

@@ -9,9 +9,11 @@ from boxweights import (
     GridMeasure,
     WeightGrid,
     naive_characteristic,
+    power_weight_grid,
     theorem_conclusion_check,
     write_grid,
 )
+from boxweights.bellman import refinement_gaps
 from boxweights.cli import DEFAULTS, main
 from boxweights.grids import uniform_measure
 
@@ -139,6 +141,21 @@ class TestSharpnessCommand:
         second = rows[2].split(",")
         assert float(second[2]) > float(first[2])
 
+    def test_prints_gaps_and_increment_ratios(self, capsys, tmp_path):
+        out = tmp_path / "s.csv"
+        args = ["sharpness", "--class", "ap", "--p", "2", "--Q", "1.3333333333", "--side", "minus"]
+        code, text, _ = run(capsys, *args, "--cells", "64,128,256,512", "--out", str(out))
+        assert code == 0
+        rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        lines = text.splitlines()
+        for label, col, line in (("critical", 2, lines[-2]), ("inside", 4, lines[-1])):
+            gaps, ratios = refinement_gaps([float(r[col]) for r in rows])
+            assert len(gaps) == 3 and len(ratios) == 2
+            assert line == (
+                f"{label}: rel gaps {['%.4f' % g for g in gaps]}, "
+                f"increment ratios {['%.3f' % r for r in ratios]}"
+            )
+
     def test_one_table_set_per_grid(self, capsys, tmp_path, table_builds):
         args = ["sharpness", "--class", "rh", "--p", "2", "--Q", "1.5", "--side", "plus"]
         code, _, _ = run(capsys, *args, "--cells", "64,128,256", "--out", str(tmp_path / "s.csv"))
@@ -252,6 +269,18 @@ class TestSplitCommand:
         assert code == 2
         assert "exceeds" in err
 
+
+    def test_one_table_set(self, capsys, tmp_path, table_builds):
+        # the Q check and the tree read the same mass, w and w**s2 tables
+        grid = tmp_path / "w.txt"
+        write_grid(grid, *power_weight_grid(0.5, 64))
+        code, _, _ = run(
+            capsys,
+            "split", "--class", "ap", "--p", "2", "--grid", str(grid),
+            "--Q", "1.3333334", "--Q1", "1.4", "--levels", "4",
+        )
+        assert code == 0
+        assert [m.shape for m in table_builds] == [(64,)]
 
     def test_lost_moment_cell_is_named(self, capsys, tmp_path):
         # w**10 underflows in every cell; characteristic rescales w, the

@@ -25,7 +25,10 @@ from boxweights.grids import (
     _TokenReader,
     _wrap_floats,
     export_cells_csv,
+    lost_moment_cell,
     moment_cells,
+    scan_tables,
+    scan_weight,
     uniform_measure,
 )
 
@@ -69,6 +72,50 @@ class TestValidate:
             measure.mass[0] = 5.0
         with pytest.raises(ValueError):
             weight.values[0] = 5.0
+
+    def test_checks_only_the_shapes(self, uniform4, monkeypatch):
+        # the constructors checked every field already; validate rebuilds nothing
+        def rebuilt(self):
+            raise AssertionError("validate re-constructed a dataclass")
+
+        monkeypatch.setattr(GridMeasure, "__post_init__", rebuilt)
+        monkeypatch.setattr(WeightGrid, "__post_init__", rebuilt)
+        assert validate(*uniform4) == uniform4
+
+
+class TestScanWeight:
+    def test_lost_moment_cell_names_the_first(self):
+        mass = np.array([[0.0, 1.0], [1.0, 1.0]])
+        moments = {1.0: np.array([[0.0, 2.0], [3.0, 4.0]]), -2.0: np.array([[0.0, 0.0], [math.inf, 1.0]])}
+        # zero-mass cells are never lost; exponents are tried in the order given
+        assert lost_moment_cell(mass, moments) == (-2.0, (0, 1), 0.0)
+        moments[-2.0] = np.array([[0.0, 1.0], [math.inf, 1.0]])
+        assert lost_moment_cell(mass, moments) == (-2.0, (1, 0), math.inf)
+        assert lost_moment_cell(mass, {1.0: moments[1.0]}) is None
+
+    def test_keeps_w_when_no_cell_is_lost(self, uniform4):
+        measure, weight = uniform4
+        moments = {s: moment_cells(measure.mass, weight.values, s) for s in (1.0, -1.0)}
+        assert scan_weight(measure.mass, weight, moments) == (weight, moments)
+
+    def test_centres_w_by_a_power_of_two(self):
+        measure = uniform_measure(4)
+        weight = WeightGrid(np.array([1.0, 2.0, 1.0, 3.0]) * 1e-40)
+        moments = {s: moment_cells(measure.mass, weight.values, s) for s in (1.0, 10.0)}
+        centred, recentred = scan_weight(measure.mass, weight, moments)
+        ratio = centred.values / weight.values
+        assert np.all(ratio == ratio[0]) and math.frexp(ratio[0])[0] == 0.5
+        assert lost_moment_cell(measure.mass, recentred) is None
+        assert np.array_equal(recentred[10.0], moment_cells(measure.mass, centred.values, 10.0))
+
+    def test_scan_tables_share_the_mass_record(self):
+        measure = uniform_measure(4)
+        weight = WeightGrid(np.array([1.0, 2.0, 1.0, 3.0]) * 1e-40)
+        given = PrefixTables(measure, weight)
+        tables = scan_tables(measure, weight, (1.0, 10.0), given)
+        assert tables is not given and tables.weight is not weight
+        for mine, theirs in zip(tables.table(None), given.mass_table):
+            assert mine is theirs
 
 
 class TestBoxIdx:
