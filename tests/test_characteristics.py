@@ -323,7 +323,8 @@ class TestExactTableLayer:
         assert (report.value, str(report.argmax_box), report.boxes_scanned) == (
             1.0000089178021618, "0:2", 3,
         )
-        value, box, count = naive_characteristic(measure, weight, RH, 8.461094268187766)
+        with np.errstate(invalid="ignore"):  # the oracle's value of box 1:2 is 0/0
+            value, box, count = naive_characteristic(measure, weight, RH, 8.461094268187766)
         assert (report.value, report.argmax_box, report.boxes_scanned) == (value, box, count)
 
 

@@ -86,7 +86,10 @@ class TestValidate:
 class TestScanWeight:
     def test_lost_moment_cell_names_the_first(self):
         mass = np.array([[0.0, 1.0], [1.0, 1.0]])
-        moments = {1.0: np.array([[0.0, 2.0], [3.0, 4.0]]), -2.0: np.array([[0.0, 0.0], [math.inf, 1.0]])}
+        moments = {
+            1.0: np.array([[0.0, 2.0], [3.0, 4.0]]),
+            -2.0: np.array([[0.0, 0.0], [math.inf, 1.0]]),
+        }
         # zero-mass cells are never lost; exponents are tried in the order given
         assert lost_moment_cell(mass, moments) == (-2.0, (0, 1), 0.0)
         moments[-2.0] = np.array([[0.0, 1.0], [math.inf, 1.0]])
