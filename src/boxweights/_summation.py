@@ -41,9 +41,16 @@ def dd_sub(ah, al, bh, bl):
 
 
 def dd_sub_rounded(ah, al, bh, bl):
-    """Rounded double of (ah, al) - (bh, bl); cheaper than a full dd_sub."""
-    s, e = two_sum(ah, -bh)
-    return s + (e + (al - bl))
+    """Rounded double of (ah, al) - (bh, bl), for ah >= bh >= 0 or ah == 0.
+
+    Those are two entries of a nonnegative prefix table, a later minus an
+    earlier one, or the zero entry minus any.  There the error term of
+    ah - bh from Dekker's fast two-sum (1971) is exact, hence equal to
+    two_sum's, so the result is that of s, e = two_sum(ah, -bh);
+    s + (e + (al - bl)) bit for bit.
+    """
+    s = ah - bh
+    return s + (((ah - s) - bh) + (al - bl))
 
 
 def dd_prefix_tables(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

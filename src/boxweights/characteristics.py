@@ -9,15 +9,16 @@ and the Reverse Holder characteristic is
 
     sup over boxes R of  <w**q>_R ** (1/q) / <w>_R,
 
-where <f>_R is the mu-average over R.  The supremum is computed by
-exhaustive enumeration of all index ranges; every box value comes from
-prefix-table queries, so the scan is exact over the finite box family and
-bit-for-bit reproducible by the naive per-box summation oracle below.
+where <f>_R is the mu-average over R.  The supremum is taken over all index
+ranges by a branch and bound whose result is that of exhaustive
+enumeration; every box value comes from prefix-table queries, so the scan is
+exact over the finite box family and bit-for-bit reproducible by the naive
+per-box summation oracle below.
 
 Ties in the argmax break to the lexicographically smallest index tuple
-(a1, b1, a2, b2, ...).  The scan takes the first maximum of each row of
-boxes in that order, and a row's maximum replaces the incumbent when it is
-larger, or equal with a lexicographically smaller box.
+(a1, b1, a2, b2, ...).  A value replaces the incumbent when it is larger, or
+equal with a lexicographically smaller box, so the order in which boxes are
+evaluated does not matter.
 
 Every box sum comes from grids.scan_tables, the one entry point to exact
 sums: it checks the pair and picks the weight to scan (w, or w centred by a
@@ -28,49 +29,72 @@ with an overflowed moment cell is scanned with that cell's moments read as
 0, which counts its boxes, and reports +inf at the lexicographically
 smallest box whose value is +inf, as the oracle does; see _overflow_argmax.
 
-Screened two-pass row kernel
-----------------------------
-A row is every box whose last-axis range starts at a, for one leading range
-each.  Each stack (mass, w, w**s2) holds double-double prefix entries
-h + l, and the exact row kernel (pass 2, ``_row``) forms every box sum as
-X2 = dd_sub_rounded(h_b, l_b, h_a, l_a), then the value from _vec_values.
-Pass 1 (``_screen``) evaluates the same _vec_values on the hi-only sums
-X1 = fl(h_b - h_a), over blocks of rows at once, and bounds every pass-2
-value of row a by U_a; pass 2 runs only on rows with U_a >= the incumbent.
+Tile branch and bound
+---------------------
+The leading axes are reduced to stacks of last-axis prefix columns, one
+column per leading range, each stack (mass, w, w**s2) holding double-double
+entries h + l.  The boxes of a column are its (a, b) pairs, a < b.  A tile of
+side s (a power of two) holds the pairs with a in [i s, (i + 1) s) and b - 1
+in [j s, (j + 1) s), i <= j.  Tiles go from one per column down to leaves
+of _TILE a side, each split into its (up to) four quarters.  Every tile
+evaluates its largest box [a_lo, b_hi) and, off the diagonal, its smallest
+box [a_hi, b_lo) exactly and offers them to the incumbent, then gets the
+bound U below and is dropped when U is below the incumbent; the leaves left
+are screened (below) and evaluated exactly, the tile of the best screen
+first.  Every value is the exact pass's: sums dd_sub_rounded(h_b, l_b, h_a,
+l_a) and _vec_values, as in the exhaustive scan.  Skipped boxes all have
+values below the final supremum, and the tie rule does not depend on the
+order of the offers, so value, argmax and box count are those of the
+exhaustive scan.
+A box counts when its mass is positive: b lies past the first positive-mass
+cell at or after a, which _positive_boxes counts without enumeration.
+
+The bound (after Moore, "Interval Analysis", 1966).  With u = 2**-53 and
+P = 2**-44 the relative error allowed for np.power (it is not assumed
+correctly rounded):
+
+1. Sums.  The certificate makes every sum read the correctly rounded exact
+   sum, X = X*(1 + d), |d| <= u, in the normal range.
+2. Averages.  v = A1 * A2**e, rising in both, with A1 = sw/m (ap) or m/sw
+   (rh), A2 = ss/m and e = q - 1 (ap) or 1/q (rh).  Write an average as
+   N/D.  Off the diagonal every box of a tile is its smallest box plus
+   cells of blocks i and j of D-mass at most E* = D*(largest) -
+   D*(smallest), and the N/D of those cells is at most t, the largest cell
+   ratio n_c/d_c over the two blocks (a mediant).  So N/D <= max(N_s/D_s,
+   (N_s + E t)/(D_s + E)) for any E >= E*, the second term rising in E
+   when it exceeds the first; and N/D <= N_l/D_s, the sums being monotone.
+   A diagonal tile holds only cells of its block: N/D <= t.
+   E = (D_l - D_s) + D_l 2**-50 exceeds E*: the two sums and the
+   subtraction are off by at most 3.03 u D_l.
+3. Rounding.  Each average bound as computed differs from the exact
+   expression of exact sums by at most 8.1 u relatively (ratios t of correctly rounded
+   cell sums, 3.03 u), so log B, B = fl(A1 * pow(A2, e)), is below the log
+   of the exact bound by at most (9 + 8e) 1.01 u + 1.01 P; the exact pass
+   rounds the log of its own value by at most (4 + 3e) 1.01 u + 1.01 P.
+   With g = (16 + 16e) u + 3 P >= their sum, every exact-pass value of the
+   tile is at most B e**g <= B (1 + 2g) for g <= 2**-8, and U = B (1 + 2g +
+   2**-50), the last term covering the rounding of U itself.
+4. Range.  A positive-mass cell whose sums leave [2**-960, 2**960], whose
+   ratio A1 leaves 2**+-500 or A2 leaves 2**+-(500 / max(e, 1)), or a stack
+   total above 2**960, leaves its column unbounded (U = +inf).  Otherwise
+   every box sum lies in [2**-960, 2**961], every average between the cell
+   ratios, and every intermediate of both evaluations is normal; a bound
+   that overflows is +inf, still an upper bound.
+
+The screen.  A leaf tile whose bound is finite and not within 2**-20 of
+the incumbent is first evaluated on the hi-only sums X1 = fl(h_b - h_a).
 Following the error-free transformations of Dekker (1971) and Ogita, Rump
 and Oishi ("Accurate sum and dot product", SIAM J. Sci. Comput. 26(6),
-2005), with u = 2**-53:
-
-1. Sums.  two_sum(h_b, -h_a) = (s, e) is exact, s = X1 and |e| <= u|X1|,
-   and the exact difference is X = s + e + (l_b - l_a).  The two roundings
-   of the low-order parts and the final one give |X2 - X| <= u|X2| +
-   3u|l_b - l_a| + u^2|X1|, hence |X2 - X1| <= (1 + 5u) L_a + 3u|X1| with
-   L_a = |l_a| + max|l| over the stack.  Dividing by the row minimum
-   X1min of the surrogate sum (a difference of suffix minima, since
-   x -> fl(x - h_a) is monotone) gives X2 = X1 (1 + t), |t| <= rho, where
-   rho = L_a / X1min (1 + 2**-48) + 2**-50.
-2. Values.  In the normal range each of / * rounds with relative error u,
-   and np.power is allowed a relative error P = 2**-44 (it is not assumed
-   correctly rounded).  With exponent e = q - 1 (ap) or 1/q (rh), both
-   positive, the log of pass-2 over pass-1 value is at most
-   g = 2 rho_w + (2 + 2e) rho_m + e rho_s + (5e + 10) u + 3P
-   for both classes (log(1 + t) <= t, -log(1 - t) <= 2t for t <= 1/2).
-   Hence v2 <= v1 exp(g) <= v1 (1 + 2g) for g <= 1, and
-   U_a = max v1 * (1 + 2g + 2**-45), the last term covering the rounding of
-   the bound itself.
-3. Range.  The row extremes of the three sums bound log2 of sw/m and ss/m;
-   when |log2(sw/m)| and max(e, 1) |log2(ss/m)| stay below 500 and g and
-   every rho are at most 2**-8, every intermediate of both passes is a
-   normal double and steps 1-2 hold.
-
-A row whose bound cannot be formed (a minimum surrogate sum not above its
-error, which covers zero-mass boxes, a range or g outside the limits, or a
-non-finite surrogate maximum) gets U_a = +inf and always runs in pass 2.
-Otherwise every box of the row has X2 > 0, so a screened row counts all of
-its boxes.  Pass 2 takes the row with the best surrogate maximum first,
-then every other row in increasing a whose U_a is not below the incumbent;
-a skipped row's exact values are all below the final supremum, so value,
-argmax and box count are those of the exhaustive exact scan.
+2005): two_sum(h_b, -h_a) = (s, e) is exact, s = X1, |e| <= u|X1|, and the
+exact difference is s + e + (l_b - l_a).  The roundings of the low-order
+parts give |X2 - X1| <= (1 + 5u) L + 3u |X1| with L = 2 max|l| over the
+column, hence X2 = X1 (1 + t), |t| <= rho = L / X1min (1 + 2**-48) +
+2**-50, X1min the smallest hi-only cell sum of the column (h rises, so no
+box sum is below it).  With every rho and g = 2 rho_w + (2 + 2e) rho_m +
+e rho_s + (5e + 10) u + 3P at most 2**-8 (log(1 + t) <= t, -log(1 - t) <=
+2t for t <= 1/2, for both classes), every exact value of the tile is at
+most max v1 (1 + 2g + 2**-45), v1 the values of X1; the finite bound keeps
+every intermediate normal.
 """
 
 from __future__ import annotations
@@ -95,10 +119,11 @@ class CharacteristicReport:
     a moment cell overflowed and centring w by a power of two does not
     recover every cell); argmax_box is the lexicographically smallest box
     that attains it; boxes_scanned counts every positive-measure box of the
-    grid, whether the screen bounded it or pass 2 evaluated it.  Screening
-    never changes value, argmax_box or boxes_scanned: they equal those of the
-    exhaustive exact scan.  exact_rows counts the rows that pass 2
-    re-evaluated in double-double; it is a diagnostic and enters no CSV.
+    grid, whether a bound ruled it out or it was evaluated.  Pruning never
+    changes value, argmax_box or boxes_scanned: they equal those of the
+    exhaustive exact scan.  exact_boxes counts the boxes of the leaf tiles
+    evaluated in double-double (not the tile corners the bounds read); it is
+    a diagnostic and enters no CSV.
     """
 
     kind: ClassKind
@@ -106,7 +131,7 @@ class CharacteristicReport:
     value: float
     argmax_box: BoxIdx | None
     boxes_scanned: int
-    exact_rows: int = 0
+    exact_boxes: int = 0
 
 
 def pair_gauge(kind: ClassKind, p, x1, x2):
@@ -161,7 +186,7 @@ def characteristic(
     if bad:
         value, box = math.inf, _overflow_argmax(tables, kind, q, s2, min(bad), value, box)
     return CharacteristicReport(
-        kind=kind, exponent=q, value=value, argmax_box=box, boxes_scanned=count, exact_rows=exact
+        kind=kind, exponent=q, value=value, argmax_box=box, boxes_scanned=count, exact_boxes=exact
     )
 
 
@@ -239,35 +264,41 @@ def q_scan(measure, weight, kind: ClassKind, q_list, tables=None) -> list[ScanEn
     return entries
 
 
-# Pass-1 block size in box values (rows x b x leading ranges); a block and
-# its temporaries stay near 100 KB.
-_SCREEN_BLOCK = 1 << 11
+# Leaf tiles are _TILE x _TILE (a, b) pairs of one leading range; a batch
+# of leaves holds about _LEAF_BLOCK box values, and a bounding step at most
+# _TILE_CHUNK tiles.  The n-D stacks hold the leading ranges of as many
+# first-axis starts as keep them within _STACK_BLOCK prefix entries per
+# table.  Each keeps its arrays near 100 KB.
+_TILE = 8
+_LEAF_BLOCK = 1 << 12
+_TILE_CHUNK = 1 << 9
+_STACK_BLOCK = 1 << 12
 # Unit roundoff, and the relative error allowed for np.power: 2**-44 is
 # 256 ulp, far above glibc's < 1 ulp and the 4 ulp of vectorised pow kernels.
 _U = 2.0**-53
 _POW_ERR = 2.0**-44
-# A row is screened only when its log error bound g and every relative sum
-# error rho are at most _G_MAX, and |log2(sw/m)| and max(e, 1)*|log2(ss/m)|
-# are below _LOG2_LIMIT, which keeps every intermediate a normal double.
+# Tiles are bounded and screened only when the log allowance g is at most
+# _G_MAX, and only in columns whose sums and ratios keep every intermediate
+# a normal double (see _cell_ratios).
 _G_MAX = 2.0**-8
+_SUM_LIMIT = 2.0**960
 _LOG2_LIMIT = 500.0
 
 # ----------------------------------------------------------------------
-# Scan engine.  The leading axes are reduced, one first-axis start a1 at a
-# time, to a stack of last-axis prefix columns, one column per leading
-# range; a single 1-D row kernel then scans every column at once.  Per-box
-# values use only IEEE +-*/ and a single libm pow so the vectorized path and
-# the scalar oracle produce identical doubles from identical box sums.
+# Scan engine: the tile branch and bound of the module docstring, one stack
+# at a time.  Per-box values use only IEEE +-*/ and a single libm pow so
+# the vectorized path and the scalar oracle produce identical doubles from
+# identical box sums.
 # ----------------------------------------------------------------------
 
 
 def _vec_values(kind, q, m, sw, ss):
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if kind is ClassKind.MUCKENHOUPT_A:
-            vals = (sw / m) * np.power(ss / m, q - 1.0)
-        else:
-            vals = np.power(ss / m, 1.0 / q) / (sw / m)
-        return np.where(m > 0.0, vals, -np.inf)
+    """Box values, -inf where the mass is not positive; nan where sw and ss are both 0."""
+    if kind is ClassKind.MUCKENHOUPT_A:
+        vals = (sw / m) * np.power(ss / m, q - 1.0)
+    else:
+        vals = np.power(ss / m, 1.0 / q) / (sw / m)
+    return np.where(m > 0.0, vals, -np.inf)
 
 
 def _scalar_value(kind, q, m, sw, ss):
@@ -279,123 +310,301 @@ def _scalar_value(kind, q, m, sw, ss):
     return float(np.power(np.float64(ss / m), 1.0 / q) / (sw / m))
 
 
+class _Incumbent:
+    """The largest exact value seen so far and its lexicographically smallest box."""
+
+    def __init__(self):
+        self.value = -math.inf
+        self.box = None
+
+    def offer(self, vals, k, a, b, lead):
+        """Take the maximum of ``vals``, the values of the boxes (lead[k], (a, b)).
+
+        k, a and b broadcast with vals.  A value replaces the incumbent when
+        it is larger, or equal with a lexicographically smaller box, so the
+        order of the offers does not matter.
+        """
+        v = float(vals.max())
+        if v != v:
+            # A nan value (sw and ss both 0) never wins, as in the oracle's v > best.
+            vals = np.where(np.isnan(vals), -np.inf, vals)
+            v = float(vals.max())
+        if v < self.value or (v == self.value and self.box is None):
+            return
+        # a tie wins only with a smaller box; no box here is below this one
+        if v == self.value and lead[int(np.min(k))] + ((int(np.min(a)), int(np.min(b))),) >= self.box:
+            return
+        # (k, a, b) in lexicographic order as one integer; a, b <= n < span
+        span = int(np.max(b)) + 1
+        key = int(((k * span + a) * span + b)[vals == v].min())
+        (k, a), b = divmod(key // span, span), key % span
+        box = lead[k] + ((a, b),)
+        if v > self.value or box < self.box:
+            self.value, self.box = v, box
+
+
 def _scan(tables, kind, q, s2):
     tabs = (tables.mass_table, tables.table(1.0), tables.table(s2))
-    # The mass, w and w**s2 tables side by side: shape (3, cells + 1 per axis).
-    H, L = np.stack([h for h, _ in tabs]), np.stack([l for _, l in tabs])
-    ext = H.shape[1:]
-    best = -math.inf
-    best_box = None
-    count = 0
-    exact = 0
-    for a1 in range(ext[0] - 1 if len(ext) > 1 else 1):
-        if len(ext) == 1:
-            h, l, lead = H, L, [()]
-        else:
-            # Rows [a1, b1) for every b1 by broadcasting, then every (a, b)
-            # pair of each middle axis; the leading ranges stay in
-            # lexicographic order.  Each stack is stored last axis first,
-            # shape (n_last + 1, K), as the 1-D tables are laid out, so the
-            # 1-D tables need no reshaping and keep a scalar broadcast
-            # partner in the row kernel.
-            h, l = dd_sub(H[:, a1 + 1 :], L[:, a1 + 1 :], H[:, a1, None], L[:, a1, None])
-            lead = [((a1, b1),) for b1 in range(a1 + 1, ext[0])]
-            for ax, n in enumerate(ext[1:-1], start=2):
-                ia, ib = np.triu_indices(n, k=1)
-                h, l = dd_sub(h.take(ib, ax), l.take(ib, ax), h.take(ia, ax), l.take(ia, ax))
-                lead = [r + ((a, b),) for r in lead for a, b in zip(ia.tolist(), ib.tolist())]
-            h, l = (x.reshape(3, -1, ext[-1]).transpose(0, 2, 1) for x in (h, l))
-        stack = list(zip(h, l))
-        bound, vmax = _screen(h, l, kind, q)
-        n = len(bound)
-        screened = bound < math.inf
-        count += len(lead) * int((n - np.flatnonzero(screened)).sum())
-        # The best surrogate row goes first, so that the incumbent is as high
-        # as it can be before the other rows are tested against it.
-        rows = range(n)
-        if screened.any():
-            seed = int(np.argmax(np.where(screened, vmax, -math.inf)))
-            rows = [seed, *range(seed), *range(seed + 1, n)]
-        bound = bound.tolist()
-        for a in rows:
-            if bound[a] < best:
-                continue
-            vals, c = _row(stack, a, kind, q)
-            exact += 1
-            if bound[a] == math.inf:
-                count += c
-            # First hit in (leading range, b) order is this row's
-            # lexicographically smallest argmax; a tie with the incumbent goes
-            # to the smaller box, so the order of the rows does not matter.
-            j = int(np.argmax(vals.T))
-            k, i = divmod(j, n - a)
-            v = float(vals.T.flat[j])
-            box = lead[k] + ((a, a + 1 + i),)
-            if v > best or (v == best and best_box is not None and box < best_box.ranges):
-                best = v
-                best_box = BoxIdx(box)
-    return best, best_box, count, exact
+    # hi and lo of the mass, w and w**s2 tables: shape (2, 3, cells + 1 per axis)
+    HL = np.array([[h for h, _ in tabs], [l for _, l in tabs]])
+    best = _Incumbent()
+    count = exact = 0
+    with np.errstate(all="ignore"):
+        for hl, lead in _stacks(HL):
+            stack = _Stack(hl, kind, q)
+            count += stack.count
+            exact += _branch_and_bound(stack, lead, kind, q, best)
+            # one stack alive at a time
+            del hl, stack
+    return best.value, None if best.box is None else BoxIdx(best.box), count, exact
 
 
-def _row(stack, a, kind, q):
-    """Pass 2: exact values of the boxes whose last-axis range starts at a.
+def _stacks(HL):
+    """Stacks (2, 3, n + 1, K) of last-axis prefix columns, and their K leading ranges.
 
-    Returns the values, shaped (n - a,) or (n - a, K), nan read as -inf, and
-    how many of the boxes have positive mass.
+    The 1-D tables are one column.  In n-D the leading ranges are those of
+    consecutive first-axis starts a1, as many as keep a stack within
+    _STACK_BLOCK entries per table, in lexicographic order; each start's
+    columns are reduced on their own, which bounds the temporaries.
     """
-    (mh, ml), (wh, wl), (sh, sl) = stack
-    m = dd_sub_rounded(mh[a + 1 :], ml[a + 1 :], mh[a], ml[a])
-    sw = dd_sub_rounded(wh[a + 1 :], wl[a + 1 :], wh[a], wl[a])
-    ss = dd_sub_rounded(sh[a + 1 :], sl[a + 1 :], sh[a], sl[a])
-    vals = _vec_values(kind, q, m, sw, ss)
-    # A nan value (sw and ss both 0) never wins, as in the oracle's v > best;
-    # its box still counts.
-    return np.where(np.isnan(vals), -np.inf, vals), int(np.count_nonzero(m > 0.0))
+    ext = HL.shape[2:]
+    if len(ext) == 1:
+        yield HL[..., None], [()]
+        return
+    pairs = [np.triu_indices(n, k=1) for n in ext[1:-1]]
+    middle = [()]
+    for ia, ib in pairs:
+        middle = [r + ((a, b),) for r in middle for a, b in zip(ia.tolist(), ib.tolist())]
+    # columns of first-axis start a1
+    width = [(ext[0] - a1 - 1) * len(middle) for a1 in range(ext[0] - 1)]
+    group = []
+    for a1 in range(ext[0] - 1):
+        group.append(a1)
+        if a1 + 1 < len(width) and sum(width[group[0] : a1 + 2]) * ext[-1] <= _STACK_BLOCK:
+            continue
+        lead = [((a, b1),) + r for a in group for b1 in range(a + 1, ext[0]) for r in middle]
+        hl = np.empty((2, 3, ext[-1], len(lead)))
+        col = 0
+        for a in group:
+            # rows [a, b1) for every b1, then every (a, b) pair of each middle axis
+            h, l = dd_sub(HL[0, :, a + 1 :], HL[1, :, a + 1 :], HL[0, :, a, None], HL[1, :, a, None])
+            for ax, (ia, ib) in enumerate(pairs, start=2):
+                h, l = dd_sub(h.take(ib, ax), l.take(ib, ax), h.take(ia, ax), l.take(ia, ax))
+            for dst, src in zip(hl, (h, l)):
+                dst[:, :, col : col + width[a]] = src.reshape(3, width[a], ext[-1]).transpose(0, 2, 1)
+            col += width[a]
+        group = []
+        yield hl, lead
 
 
-def _screen(h, l, kind, q):
-    """Pass 1: per start row a, a bound U[a] on every exact value in the row.
+class _Stack:
+    """One stack (2, 3, n + 1, K) and what the tile bounds and the screen read from it.
 
-    h and l hold the mass, w and w**s2 stacks, shape (3, n + 1) or
-    (3, n + 1, K).  Returns U and the surrogate row maxima; U[a] is +inf
-    where the bound cannot be formed.  The derivation is in the module
-    docstring.
+    count is the number of positive-mass boxes; the tiles run from one of
+    ``top`` cells a side (a power of two) down to ``leaf``.
+    """
+
+    def __init__(self, hl, kind, q):
+        self.n, self.cols = hl.shape[2] - 1, hl.shape[3]
+        self.flat = hl.reshape(2, 3, -1)
+        self.top = 1 << (self.n - 1).bit_length()
+        self.leaf = min(_TILE, self.top)
+        e = q - 1.0 if kind is ClassKind.MUCKENHOUPT_A else 1.0 / q
+        h, l = hl
+        # exact single-cell sums of the mass, w and w**s2 columns, each (n, K)
+        m, sw, ss = (dd_sub_rounded(h[r, 1:], l[r, 1:], h[r, :-1], l[r, :-1]) for r in range(3))
+        self.count = _positive_boxes(m > 0.0)
+        ratios, bad = _cell_ratios(kind, e, m, sw, ss, h[:, -1].max())
+        # maxima of the ratios over aligned blocks of leaf, 2 leaf, ... cells
+        side, level = self.leaf, np.zeros((2, self.top, self.cols))
+        level[:, : self.n] = ratios
+        self.blocks = {}
+        while side <= self.top:
+            level = level.reshape(2, -1, side if side == self.leaf else 2, self.cols).max(axis=2)
+            self.blocks[side] = level
+            side *= 2
+        # columns whose tiles are never bounded
+        self.unbounded = bad.any(axis=0)
+        # The screen: the hi-only sums of a column are off by at most its
+        # low parts against its smallest hi-only cell sum; shape (3, K).
+        lows = 2.0 * np.maximum(l.max(axis=1), -l.min(axis=1))
+        rho = lows / np.array([(x[1:] - x[:-1]).min(axis=0) for x in h]) * (1.0 + 2.0**-48) + 2.0**-50
+        g = np.dot([2.0 + 2.0 * e, 2.0, e], rho) + (5.0 * e + 10.0) * _U + 3.0 * _POW_ERR
+        ok = (rho <= _G_MAX).all(axis=0) & (g <= _G_MAX)
+        self.screen = np.where(ok, 1.0 + 2.0 * g + 2.0**-45, np.inf)
+        # (a, b) offsets of the boxes of a diagonal leaf tile, packed, and of
+        # any other, as a broadcast pair; the tiles run along the last axis
+        r = np.arange(self.leaf)
+        diagonal = [x[:, None] for x in np.nonzero(r[:, None] <= r)]
+        self.patterns = [diagonal, [r[:, None, None], r[None, :, None]]]
+
+    def entries(self, part, k, x):
+        """Hi (part 0) or lo (part 1) prefix entries x of columns k, shape (3, ...)."""
+        return self.flat[part].take(x * self.cols + k, axis=1)
+
+    def sums(self, k, a, b):
+        """Exact sums (3, ...) of the boxes [a, b) of columns k, all broadcast together."""
+        (hb, lb), (ha, la) = (self.flat.take(x * self.cols + k, axis=2) for x in (b, a))
+        return dd_sub_rounded(hb, lb, ha, la)
+
+    def extremes(self, k, i, j, side):
+        """Ratio maxima (2, tiles) over the cells a box of tile (k, i, j) holds beyond its smallest box."""
+        level = self.blocks[side]
+        return np.maximum(level[:, i, k], level[:, j, k])
+
+
+def _branch_and_bound(stack, lead, kind, q, best):
+    """Offer every box of one stack that can reach the maximum to ``best``.
+
+    Tiles of (a, b) pairs of one column, coarse to fine, are bounded by
+    _tile_bound and dropped when the bound is below the incumbent; the
+    leaves that remain are evaluated exactly.  Returns the count of boxes
+    evaluated at the leaves.
+    """
+    n, cols, leaf = stack.n, stack.cols, stack.leaf
+    exact = 0
+    zero = np.zeros(cols, dtype=np.intp)
+    work = [(stack.top, np.arange(cols), zero, zero)]
+    while work:
+        side, k, i, j = work.pop()
+        a_lo, b_lo = i * side, j * side + 1
+        a_hi, b_hi = np.minimum(a_lo + side, n) - 1, np.minimum(b_lo - 1 + side, n)
+        # the largest box [a_lo, b_hi) and the smallest [a_hi, b_lo) of each tile
+        a, b = np.stack([a_lo, a_hi]), np.stack([b_hi, b_lo])
+        corners = stack.sums(k, a, b)
+        # a diagonal tile of two rows or more has no smallest box
+        corners[:, 1, a_hi >= b_lo] = np.nan
+        # The corner boxes are boxes of the tile: their exact values feed the
+        # incumbent before the tile is tested against it.
+        best.offer(_vec_values(kind, q, *corners), k, a, b, lead)
+        bound = _tile_bound(kind, q, corners[:, 0], corners[:, 1], stack.extremes(k, i, j, side))
+        bound[stack.unbounded[k]] = np.inf
+        keep = bound >= best.value
+        k, i, j = k[keep], i[keep], j[keep]
+        if side == leaf:
+            exact += _leaves(stack, lead, kind, q, best, k, i, j, bound[keep])
+            continue
+        half = side // 2
+        k = (k[:, None] + [0, 0, 0, 0]).ravel()
+        i, j = (2 * i[:, None] + [0, 0, 1, 1]).ravel(), (2 * j[:, None] + [0, 1, 0, 1]).ravel()
+        ok = (i <= j) & (j * half < n)
+        k, i, j = k[ok], i[ok], j[ok]
+        for s in reversed(range(0, len(k), _TILE_CHUNK)):
+            work.append((half, k[s : s + _TILE_CHUNK], i[s : s + _TILE_CHUNK], j[s : s + _TILE_CHUNK]))
+    return exact
+
+
+def _leaves(stack, lead, kind, q, best, k, i, j, bound):
+    """Exact values of every box of the leaf tiles (k, i, j) that can reach the incumbent.
+
+    Tiles whose bound is not within 2**-20 of the incumbent are first
+    screened on their float values (see the module docstring).  The tile of
+    the best screen is evaluated first, to raise the incumbent, then the
+    others in batches, each only while its screen bound is not below the
+    incumbent.  Returns the count of boxes evaluated exactly.
+    """
+    n, leaf = stack.n, stack.leaf
+    exact = 0
+    diagonal = i == j
+    for (ra, rb), on in zip(stack.patterns, (True, False)):
+        sel = np.flatnonzero(diagonal == on)
+        if not len(sel):
+            continue
+        per = max(1, _LEAF_BLOCK // (len(ra) if on else leaf * leaf))
+        # screen starts as the tile bound and is lowered where a screen is proven
+        kk, a_lo, b_lo, screen = k[sel], i[sel] * leaf, j[sel] * leaf + 1, bound[sel]
+        boxes_per_tile = _box_count(n, leaf, a_lo, b_lo)
+
+        def boxes(t):
+            # Past the last cell a reads n and b reads 0: such boxes, like
+            # every box with b <= a, have mass <= 0, hence the value -inf.
+            a, b = a_lo[t] + ra, b_lo[t] + rb
+            if b_lo[t].max() + leaf - 1 > n:
+                a, b = np.minimum(a, n), np.where(b <= n, b, 0)
+            return kk[t], a, b
+
+        loose = np.flatnonzero((screen >= best.value * (1.0 + 2.0**-20)) & (screen < np.inf))
+        for s in range(0, len(loose), per):
+            t = loose[s : s + per]
+            c, a, b = boxes(t)
+            top = _vec_values(kind, q, *(stack.entries(0, c, b) - stack.entries(0, c, a)))
+            factor = stack.screen[c]
+            top = np.where(factor < np.inf, top.reshape(-1, len(t)).max(axis=0) * factor, np.inf)
+            screen[t] = np.where(top < screen[t], top, screen[t])
+        order = np.arange(len(screen))
+        first = int(np.argmax(screen))
+        order[[0, first]] = order[[first, 0]]
+        edges = [0, *range(1, len(order), per), len(order)]
+        for s, e in zip(edges[:-1], edges[1:]):
+            t = order[s:e]
+            t = t[screen[t] >= best.value]
+            if not len(t):
+                continue
+            c, a, b = boxes(t)
+            best.offer(_vec_values(kind, q, *stack.sums(c, a, b)), c, a, b, lead)
+            exact += int(boxes_per_tile[t].sum())
+    return exact
+
+
+def _box_count(n, leaf, a_lo, b_lo):
+    """Boxes of each leaf tile from [a_lo, b_lo): rows x columns off the diagonal, a triangle on it."""
+    rows, width = np.minimum(a_lo + leaf, n) - a_lo, np.minimum(b_lo - 1 + leaf, n) - b_lo + 1
+    return np.where(b_lo - a_lo == 1, rows * (rows + 1) // 2, rows * width)
+
+
+def _positive_boxes(positive):
+    """Boxes [a, b) of positive mass: b past the first positive cell at or after a."""
+    n = positive.shape[0]
+    first = np.where(positive, np.arange(n)[:, None], n)
+    first = np.minimum.accumulate(first[::-1], axis=0)[::-1]
+    return int((n - first).sum())
+
+
+def _cell_ratios(kind, e, m, sw, ss, total):
+    """Per cell, the two ratios whose maxima bound the values, and the cells that forbid a bound.
+
+    The ratios (2, n, K) are (sw/m, ss/m) for ap and (m/sw, ss/m) for rh,
+    0 on zero-mass cells.  A positive-mass cell forbids a bound where it
+    could take an intermediate out of the normal range: a sum outside
+    [2**-960, 2**960] (a lost moment cell is one), a ratio outside
+    2**+-500, or ss/m outside 2**+-(500 / max(e, 1)), or where the largest
+    stack total exceeds 2**960.
+    """
+    ratios = np.stack([sw / m if kind is ClassKind.MUCKENHOUPT_A else m / sw, ss / m])
+    lim = 2.0 ** (_LOG2_LIMIT / max(e, 1.0))
+    good = (ratios[0] > 2.0**-_LOG2_LIMIT) & (ratios[0] < 2.0**_LOG2_LIMIT) & (ratios[1] > 1.0 / lim) & (ratios[1] < lim)
+    for x in (m, sw, ss):
+        good &= (x >= 1.0 / _SUM_LIMIT) & (x <= _SUM_LIMIT)
+    positive = m > 0.0
+    good &= positive & (total <= _SUM_LIMIT)
+    ratios[:, ~good] = 0.0
+    return ratios, positive & ~good
+
+
+def _tile_bound(kind, q, big, small, extremes):
+    """Upper bound on the exact value of every box of each tile.
+
+    ``big`` and ``small`` are the exact sums (3, tiles) of the largest box
+    [a_lo, b_hi) and the smallest box [a_hi, b_lo) of each tile, the latter
+    nan where the tile has none; ``extremes`` the maxima (2, tiles) of
+    _cell_ratios over the cells beyond the smallest box.  The derivation is
+    in the module docstring.
     """
     e = q - 1.0 if kind is ClassKind.MUCKENHOUPT_A else 1.0 / q
-    # Leading ranges innermost and contiguous: the n-D stacks arrive
-    # transposed, and every step below reduces or broadcasts over them.
-    h = np.ascontiguousarray(h.reshape(3, h.shape[1], -1))
-    lo = np.abs(l.reshape(h.shape), order="C")
-    n, k = h.shape[1] - 1, h.shape[2]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # x -> fl(x - c) is monotone, so the extremes of a row's surrogate
-        # sums are the suffix extremes of h minus h[a].
-        tail = h[:, :0:-1]
-        xmin = (np.minimum.accumulate(tail, axis=1)[:, ::-1] - h[:, :-1]).min(axis=2)
-        xmax = (np.maximum.accumulate(tail, axis=1)[:, ::-1] - h[:, :-1]).max(axis=2)
-        lrow = lo[:, :-1].max(axis=2) + lo.max(axis=(1, 2))[:, None]
-        rho = np.where(xmin > 0.0, lrow / xmin * (1.0 + 2.0**-48) + 2.0**-50, np.inf)
-        g = np.dot([2.0 + 2.0 * e, 2.0, e], rho) + (5.0 * e + 10.0) * _U + 3.0 * _POW_ERR
-        # log2 ranges of sw/m and ss/m over the row
-        lmin, lmax = np.log2(xmin), np.log2(xmax)
-        ends = np.abs([lmin[1:] - lmax[0], lmax[1:] - lmin[0]]) * [[1.0], [max(e, 1.0)]]
-        ok = (
-            (g <= _G_MAX)
-            & (rho.max(axis=0) <= _G_MAX)
-            & (ends.max(axis=(0, 1)) < _LOG2_LIMIT)
-        )
-
-        vmax = np.empty(n)
-        a0 = 0
-        while a0 < n:
-            a_end = min(n, a0 + max(1, _SCREEN_BLOCK // ((n - a0) * k)))
-            # Rows a0..a_end-1 against every b > a0; b <= a gives m <= 0,
-            # hence -inf, unless h is not monotone, which can only raise U.
-            d = h[:, None, a0 + 1 :] - h[:, a0:a_end, None]
-            vmax[a0:a_end] = _vec_values(kind, q, *d).reshape(a_end - a0, -1).max(axis=1)
-            a0 = a_end
-        ok &= np.isfinite(vmax)
-        return np.where(ok, vmax * (1.0 + 2.0 * g + 2.0**-45), math.inf), vmax
+    g = (16.0 + 16.0 * e) * _U + 3.0 * _POW_ERR
+    if not g <= _G_MAX:
+        return np.full(big.shape[1], np.inf)
+    # the two averages N / D of the value N1/D1 * (N2/D2)**e, as stack indices
+    pairs = ((1, 0), (2, 0)) if kind is ClassKind.MUCKENHOUPT_A else ((0, 1), (2, 0))
+    upper = []
+    for (num, den), t in zip(pairs, extremes):
+        # at most this much of D lies outside the smallest box
+        extra = (big[den] - small[den]) + big[den] * 2.0**-50
+        mediant = np.fmax(small[num] / small[den], (small[num] + extra * t) / (small[den] + extra))
+        bound = np.fmin(big[num] / small[den], mediant)
+        # a tile without a smallest box holds only the cells t covers
+        upper.append(np.where(bound == bound, bound, t))
+    return upper[0] * np.power(upper[1], e) * (1.0 + 2.0 * g + 2.0**-50)
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,9 @@ double of the exact sum over the requested cells.
 
 scan_tables is the scan's one entry point to these sums: it checks the pair
 and tabulates the weight scan_weight picks, w or w centred by a power of
-two.  lost_moment_cell is the one test for a positive-mass moment cell lost
-to under- or overflow; the splitter refuses a box with it.
+two.  own_tables is the one check that given tables belong to their pair,
+and lost_moment_cell the one test for a positive-mass moment cell lost to
+under- or overflow; the splitter refuses a box with it.
 """
 
 from __future__ import annotations
@@ -318,16 +319,25 @@ def scan_tables(measure: GridMeasure, weight: WeightGrid, exponents, tables=None
     builds at most one table set, and none given fitting tables that keep w;
     the tables of a centred weight share the mass table.
     """
-    if tables is None:
-        tables = PrefixTables(measure, weight)
-    elif tables.measure is not measure or tables.weight is not weight:
-        raise PreconditionError("prefix tables were built for another measure or weight")
+    tables = own_tables(measure, weight, tables)
     moments = {float(s): tables._moment_cells(float(s)) for s in exponents}
     chosen, moments = scan_weight(measure.mass, weight, moments)
     if chosen is not weight:
         tables = tables._for_weight(chosen)
     for s, cells in moments.items():
         tables._add(s, cells)
+    return tables
+
+
+def own_tables(measure: GridMeasure, weight: WeightGrid, tables=None, exponents=()):
+    """``tables`` if they were built for this very pair, new tables if None.
+
+    Tables of another pair are refused: their sums belong to other cells.
+    """
+    if tables is None:
+        return PrefixTables(measure, weight, exponents)
+    if tables.measure is not measure or tables.weight is not weight:
+        raise PreconditionError("prefix tables were built for another measure or weight")
     return tables
 
 
@@ -451,8 +461,7 @@ class PrefixTables:
 
 def box_average(measure, weight, box: BoxIdx, s: float, tables: PrefixTables | None = None) -> float:
     """Average of w**s over the box against the measure: a prefix-table query."""
-    if tables is None:
-        tables = PrefixTables(measure, weight)
+    tables = own_tables(measure, weight, tables)
     m = tables.mass_sum(box)
     if m <= 0.0:
         raise ZeroMeasureBoxError(box)

@@ -33,7 +33,7 @@ import numpy as np
 from .characteristics import pair_gauge, second_moment_exponent
 from .errors import InfeasibleSplitError, PreconditionError, ZeroMeasureBoxError
 from .exponents import ClassKind, PParam, _as_pparam
-from .grids import BoxIdx, GridMeasure, PrefixTables, WeightGrid, lost_moment_cell
+from .grids import BoxIdx, GridMeasure, PrefixTables, WeightGrid, lost_moment_cell, own_tables
 
 DEFAULT_RATIO_C = 0.2
 DEFAULT_SEGMENT_SAMPLES = 257
@@ -208,8 +208,7 @@ def choose_position(
     inside the ratio window.
     """
     s2 = config.moment_exponent
-    if tables is None:
-        tables = PrefixTables(measure, weight, (1.0, s2))
+    tables = own_tables(measure, weight, tables, (1.0, s2))
     a, b = box.ranges[axis]
     if b - a < 2:
         raise InfeasibleSplitError(
@@ -294,10 +293,10 @@ def build_tree(
     infeasible node aborts the build and reports its path.  A PreconditionError
     names the first positive-mass cell of the root box whose w or w**s2
     moment cell is 0 or non-finite: the averages would silently leave it out.
+    ``tables``, if given, must have been built for this measure and weight.
     """
     s2 = config.moment_exponent
-    if tables is None:
-        tables = PrefixTables(measure, weight, (1.0, s2))
+    tables = own_tables(measure, weight, tables, (1.0, s2))
     if root_box is None:
         root_box = BoxIdx.full(measure.shape)
     root_box.check_shape(measure.shape)

@@ -391,18 +391,17 @@ class TestSecondMomentExponent:
 
 
 # ----------------------------------------------------------------------
-# Screened two-pass kernel against a full exact sweep.
+# Tile branch and bound against a full exact sweep.
 # ----------------------------------------------------------------------
 
 
-def _no_screen(h, l, kind, q):
-    rows = h.shape[1] - 1
-    return np.full(rows, np.inf), np.zeros(rows)
+def _no_bound(kind, q, big, small, extremes):
+    return np.full(big.shape[1], np.inf)
 
 
 def full_sweep(measure, weight, kind, q):
-    """characteristic() with every row through the pass-2 row function, in order."""
-    with mock.patch.object(characteristics, "_screen", _no_screen):
+    """characteristic() with pruning off: no tile is bounded, so every box is evaluated exactly."""
+    with mock.patch.object(characteristics, "_tile_bound", _no_bound):
         return characteristic(measure, weight, kind, q)
 
 
@@ -414,10 +413,9 @@ def assert_matches_sweep(measure, weight, kind, q):
         sweep.argmax_box,
         sweep.boxes_scanned,
     )
-    # one row per last-axis start a, per first-axis start a1 in n-D
-    shape = measure.shape
-    assert sweep.exact_rows == (shape[0] * shape[-1] if len(shape) > 1 else shape[0])
-    assert 1 <= report.exact_rows <= sweep.exact_rows
+    # the sweep evaluates every box of the grid once
+    assert sweep.exact_boxes == math.prod(n * (n + 1) // 2 for n in measure.shape)
+    assert 0 <= report.exact_boxes <= sweep.exact_boxes
     return report
 
 
@@ -427,7 +425,30 @@ def _grid(mass, values):
     return GridMeasure(bps, mass), WeightGrid(np.asarray(values, dtype=float))
 
 
-class TestScreenedKernel:
+def _row_maximum(measure, weight, kind, q, a):
+    """Largest value of the 1-D boxes [a, b), each from its math.fsum sums."""
+    s2 = second_moment_exponent(kind, q)
+    mass, w = measure.mass, weight.values
+    return max(
+        characteristics._scalar_value(
+            kind, q, *(math.fsum(x[a:b]) for x in (mass, mass * w, mass * w**s2))
+        )
+        for b in range(a + 1, len(mass) + 1)
+    )
+
+
+def _surrogate_row_maxima(measure, weight, kind, q):
+    """Per start a, the largest value of the boxes [a, b) on hi-only prefix differences."""
+    s2 = second_moment_exponent(kind, q)
+    tables = PrefixTables(measure, weight, (1.0, s2))
+    h = np.stack([tables.mass_table[0], tables.table(1.0)[0], tables.table(s2)[0]])
+    with np.errstate(all="ignore"):
+        return np.array(
+            [characteristics._vec_values(kind, q, *(h[:, a + 1 :] - h[:, a, None])).max() for a in range(h.shape[1] - 1)]
+        )
+
+
+class TestTileBranchAndBound:
     @pytest.mark.parametrize("kind", [A, RH])
     @pytest.mark.parametrize(
         "mass, values",
@@ -455,10 +476,7 @@ class TestScreenedKernel:
     )
     def test_maxima_one_ulp_apart_in_different_rows(self, kind, q, mass, values, rows):
         measure, weight = _grid(mass, values)
-        s2 = second_moment_exponent(kind, q)
-        tables = PrefixTables(measure, weight, (1.0, s2))
-        stack = (tables.mass_table, tables.table(1.0), tables.table(s2))
-        maxima = [float(characteristics._row(stack, a, kind, q)[0].max()) for a in rows]
+        maxima = [_row_maximum(measure, weight, kind, q, a) for a in rows]
         assert maxima[0] == np.nextafter(maxima[1], np.inf)
         report = assert_matches_sweep(measure, weight, kind, q)
         assert report.value == maxima[0]
@@ -476,26 +494,20 @@ class TestScreenedKernel:
         measure, weight = _grid(mass, g.uniform(0.9, 1.1, n))
         q = float(g.uniform(1.3, 3.0))
         report = assert_matches_sweep(measure, weight, A, q)
-        s2 = second_moment_exponent(A, q)
-        tables = PrefixTables(measure, weight, (1.0, s2))
-        tabs = (tables.mass_table, tables.table(1.0), tables.table(s2))
-        bound, vmax = characteristics._screen(
-            np.stack([h for h, _ in tabs]), np.stack([l for _, l in tabs]), A, q
-        )
-        row = report.argmax_box.ranges[0][0]
-        assert bound[row] < math.inf and vmax[row] < vmax.max()
+        vmax = _surrogate_row_maxima(measure, weight, A, q)
+        assert vmax[report.argmax_box.ranges[0][0]] < vmax.max()
 
     @pytest.mark.parametrize("kind", [A, RH])
-    def test_huge_first_cell_sends_rows_to_pass_two(self, kind):
+    def test_huge_first_cell_goes_to_the_exact_pass(self, kind):
         # Every prefix after the first cell carries a low part near ulp(2**44)/2,
-        # too large against the unit cells for a bound, yet the table is still
-        # certified exact.
+        # too large against the unit cells for the float screen, yet the table
+        # is still certified exact.
         rng = np.random.default_rng(11)
         mass = np.concatenate([[2.0**44], rng.uniform(0.5, 1.0, 30)])
         measure, weight = _grid(mass, rng.uniform(0.5, 2.0, 31))
         assert PrefixTables(measure, weight).precision_margin() < 1.0
         report = assert_matches_sweep(measure, weight, kind, 2.5)
-        assert report.exact_rows >= 20
+        assert report.exact_boxes > report.boxes_scanned // 2
         value, box, count = naive_characteristic(measure, weight, kind, 2.5)
         assert (report.value, report.argmax_box, report.boxes_scanned) == (value, box, count)
 
@@ -510,6 +522,15 @@ class TestScreenedKernel:
         report = assert_matches_sweep(measure, weight, kind, 1.8)
         value, box, count = naive_characteristic(measure, weight, kind, 1.8)
         assert (report.value, report.argmax_box, report.boxes_scanned) == (value, box, count)
+
+    @pytest.mark.parametrize("kind, q", [(A, 2.0), (RH, 2.5)])
+    @pytest.mark.parametrize("shape", [(1024,), (12, 9)], ids=["1d", "2d"])
+    def test_constant_weight(self, kind, q, shape):
+        # Every value is 1 up to a few ulps (rh q=2.5 computes 1.0000000000000002
+        # at 0:67 on 1024 cells), so no tile can be pruned: every box ties.
+        measure = uniform_measure(shape)
+        report = assert_matches_sweep(measure, WeightGrid(np.full(shape, 2.7)), kind, q)
+        assert report.exact_boxes == math.prod(n * (n + 1) // 2 for n in shape)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -543,14 +564,30 @@ class TestScreenedKernel:
             )
             assert_matches_sweep(measure, weight, A if trial % 2 else RH, float(rng.uniform(1.1, 5.0)))
 
+    def test_seeded_wide_grids_match_sweep(self):
+        # 1-D grids wide enough for tiles off the diagonal at three levels,
+        # some of whose smallest boxes average beyond every other cell
+        rng = np.random.default_rng(14)
+        for trial in range(80):
+            n = int(rng.integers(30, 90))
+            sigma = (0.7, 1.2, 1.6)[trial % 3]
+            measure, weight = _grid(rng.uniform(0.1, 1.0, n), np.exp(rng.normal(0.0, sigma, n)))
+            kind = (A, RH)[trial % 4 // 2]
+            q = float(rng.uniform(1.3, 4.0)) if kind is A else float(rng.uniform(1.5, 8.0))
+            try:
+                assert_matches_sweep(measure, weight, kind, q)
+            except PreconditionError as exc:
+                # beyond the precision certificate both routes refuse alike
+                assert "span" in str(exc)
+
     @pytest.mark.parametrize(
         "probe, alpha, q",
         [(A, 0.5, 1.5), (A, 0.5, 1.6), (RH, -0.5, 2.0), (RH, -0.5, 1.5)],
         ids=["ap-critical", "ap-inside", "rh-critical", "rh-inside"],
     )
-    def test_power_ladder_takes_few_rows_to_pass_two(self, probe, alpha, q):
+    def test_power_ladder_evaluates_few_boxes_exactly(self, probe, alpha, q):
         # the A_2 ladder of x**0.5 (minus side) and x**-0.5 (plus side), 2048 cells
         measure, weight = power_weight_grid(alpha, 2048)
         report = characteristic(measure, weight, probe, q)
-        assert report.exact_rows <= 4
         assert report.boxes_scanned == 2048 * 2049 // 2
+        assert report.exact_boxes <= 0.01 * report.boxes_scanned

@@ -159,6 +159,15 @@ class TestBoxAverage:
         with pytest.raises(ZeroMeasureBoxError):
             box_average(measure, weight, BoxIdx(((0, 1),)), 1.0)
 
+    def test_tables_of_another_grid_are_refused(self):
+        # tables of x**2 read on x**0.5 gave 0.3333 for the full box, not 0.6667
+        measure, weight = power_weight_grid(0.5, 8)
+        full = BoxIdx.full(measure.shape)
+        with pytest.raises(PreconditionError, match="prefix tables were built for another measure or weight"):
+            box_average(measure, weight, full, 1.0, PrefixTables(*power_weight_grid(2.0, 8)))
+        own = PrefixTables(measure, weight)
+        assert box_average(measure, weight, full, 1.0, own) == box_average(measure, weight, full, 1.0)
+
 
 class TestPowerWeightGrid:
     def test_constant(self):

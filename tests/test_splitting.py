@@ -96,6 +96,23 @@ class TestSegmentMax:
             segment_max(AvgPoint(1.0, 0.0), AvgPoint(1.0, 1.0), A, P2)
 
 
+class TestForeignTables:
+    """Tables built for another pair are refused, as characteristic refuses them."""
+
+    def test_build_tree_and_choose_position_refuse_them(self):
+        # tables of x**2 read on x**0.5 put the root point at (0.3333, 30.33), not (0.6667, 1.819)
+        measure, weight = power_weight_grid(0.5, 8)
+        cfg = config(Q=3.0, Q1=4.0, levels=2)
+        other = PrefixTables(*power_weight_grid(2.0, 8))
+        match = "prefix tables were built for another measure or weight"
+        with pytest.raises(PreconditionError, match=match):
+            build_tree(measure, weight, cfg, tables=other)
+        with pytest.raises(PreconditionError, match=match):
+            choose_position(measure, weight, BoxIdx.full(measure.shape), 0, cfg, other)
+        own = PrefixTables(measure, weight, (1.0, cfg.moment_exponent))
+        assert build_tree(measure, weight, cfg, tables=own).root == build_tree(measure, weight, cfg).root
+
+
 class TestChoosePosition:
     def test_uniform_midpoint(self):
         measure = uniform_measure(4)
