@@ -11,6 +11,42 @@ queries go through one batched corner query, dd_box_sums: the bounds of a
 batch of boxes broadcast against each other, and every box in the batch runs
 the same dd_add sequence over its 2**n corners, so a batch of K boxes costs
 2**n vectorised dd_add steps instead of K Python calls.
+
+dd_prefix_tables sums one axis at a time with a cascade of cumulative sums
+(after Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J. Sci.
+Comput. 26(6), 2005); it loops over axes only.  A pass over an axis turns
+the pairs (x, l) of the previous pass (the cells and 0 on the first) into
+the prefix sums P along it:
+
+1. s = accumulate(x), and e the exact two_sum error of every step of it;
+2. t = accumulate(e + l), f the exact errors of that, and F = accumulate(f);
+3. P = s + t + F, renormalised: h, g = fast_two_sum(s, t), then
+   hi, lo = fast_two_sum(h, g + F).
+
+Exactness.  Let the cells be nonnegative, q0 the ulp of the smallest
+positive one, M the largest prefix sum, u = 2**-53 and N the length of the
+axis.  Every cell is a multiple of q0, hence so is every sum and two_sum
+error built from them, and a result below 2**53 q0 in magnitude that is a
+multiple of q0 is representable, so the operation giving it is exact.  Let
+M < 2**104 q0 and N**2 u**2 M < 2**52 q0 (N <= 2**27 suffices), and let
+the pairs of the previous pass be exact and normalised, x = RN(v) and
+l = v - x for entry sum v (true of the cells).  Up to factors 1 + 2**-25
+for the rounding of s, and with P_j <= M the prefix sum of entry j:
+
+- |e_j| <= u s_j and |l_j| <= u x_j, so |e_j + l_j| <= 2u M < 2**52 q0:
+  every e + l is exact;
+- |t_j| <= (j + 1) u P_j, so |f_j| <= (j + 1) u**2 P_j, and every partial
+  sum of F is at most N**2 u**2 M < 2**52 q0: F is exact;
+- s_j >= |t_j|, so the first fast_two_sum is exact; |g| <= u M < 2**51 q0,
+  so g + F is exact, and the last fast_two_sum gives hi = RN(P) and
+  lo = P - hi.
+
+So every pass returns the unique normalised pair (RN(P), P - RN(P)), which
+any exact double-double recurrence returns too, the sequential dd_add over
+the cells among them.  grids.PrefixTables.precision_margin states these
+conditions on a built table; the scan refuses tables beyond them, where
+the pairs are approximations.  A table whose sums overflow holds nan from
+the first overflowed entry of an axis on.
 """
 
 from __future__ import annotations
@@ -53,33 +89,55 @@ def dd_sub_rounded(ah, al, bh, bl):
     return s + (((ah - s) - bh) + (al - bl))
 
 
+def _step_errors(acc, x, tmp, axis: int) -> None:
+    """Overwrite x with the exact errors of the steps of acc = accumulate(x).
+
+    On flat C-order views the partial sum before entry k of the axis is entry
+    k - step, step the stride of the axis in entries, so the error of entry k
+    is two_sum(acc[k - step], x[k]) given their rounded sum acc[k]: five
+    contiguous operations on any axis.  An entry at axis index 0 starts its
+    lane, so its error is 0.  ``tmp`` is scratch.
+    """
+    step = acc.strides[axis] // acc.itemsize
+    flat_acc, flat_x = acc.reshape(-1), x.reshape(-1)
+    a, s, b, z = flat_acc[:-step], flat_acc[step:], flat_x[step:], tmp.reshape(-1)[step:]
+    np.subtract(s, a, out=z)
+    np.subtract(b, z, out=b)
+    np.subtract(s, z, out=z)
+    np.subtract(a, z, out=z)
+    b += z
+    x[(slice(None),) * axis + (0,)] = 0.0
+
+
 def dd_prefix_tables(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative-sum tables over the cell lattice in double-double.
+    """Cumulative-sum tables over a lattice of nonnegative cells in double-double.
 
     Returns (hi, lo) arrays of shape ``cells.shape + 1`` per axis; entry J
     holds the sum over the sub-lattice [0, J) so that index 0 slabs are zero.
+    Each axis runs the cascade of the module docstring in four buffers.
     """
     shape = tuple(m + 1 for m in cells.shape)
-    hi = np.zeros(shape, dtype=np.float64)
-    lo = np.zeros(shape, dtype=np.float64)
-    inner = tuple(slice(1, None) for _ in cells.shape)
-    hi[inner] = cells
-    if cells.ndim == 1:
-        # Scalar Python floats beat numpy scalars for a sequential scan.
-        ah, al = 0.0, 0.0
-        out_h, out_l = hi.tolist(), lo.tolist()
-        for j in range(1, shape[0]):
-            ah, al = dd_add(ah, al, out_h[j], 0.0)
-            out_h[j], out_l[j] = ah, al
-        return np.asarray(out_h), np.asarray(out_l)
-    for axis in range(cells.ndim):
-        sl = [slice(None)] * cells.ndim
-        for j in range(2, shape[axis] + 1):
-            cur, prev = list(sl), list(sl)
-            cur[axis] = j - 1
-            prev[axis] = j - 2
-            cur, prev = tuple(cur), tuple(prev)
-            hi[cur], lo[cur] = dd_add(hi[cur], lo[cur], hi[prev], lo[prev])
+    hi, lo, s, t = (np.zeros(shape) for _ in range(4))
+    hi[(slice(1, None),) * cells.ndim] = cells
+    with np.errstate(over="ignore", invalid="ignore"):
+        for axis in range(cells.ndim):
+            # 1. s and its step errors e (in hi)
+            np.add.accumulate(hi, axis=axis, out=s)
+            _step_errors(s, hi, t, axis)
+            # 2. t from e + l (in lo), its step errors f (in lo), F (in hi)
+            lo += hi
+            np.add.accumulate(lo, axis=axis, out=t)
+            _step_errors(t, lo, hi, axis)
+            np.add.accumulate(lo, axis=axis, out=hi)
+            # 3. h (in lo), g + F (in t), then hi (in s) and lo
+            np.add(s, t, out=lo)
+            np.subtract(lo, s, out=s)
+            t -= s
+            t += hi
+            np.add(lo, t, out=s)
+            np.subtract(s, lo, out=lo)
+            np.subtract(t, lo, out=lo)
+            hi, s = s, hi
     return hi, lo
 
 

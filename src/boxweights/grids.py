@@ -379,14 +379,16 @@ class PrefixTables:
     def _add(self, key, cells: np.ndarray) -> None:
         if key in self._records:
             return
-        finite = np.where(np.isfinite(cells), cells, 0.0)
+        finite = cells if np.isfinite(cells).all() else np.where(np.isfinite(cells), cells, 0.0)
         hi, lo = dd_prefix_tables(finite)
-        positive = finite[finite > 0.0]
+        positive = finite > 0.0
         margin, span = 0.0, 1.0
-        if positive.size:
-            top, smallest = float(np.abs(hi).max()), float(positive.min())
+        if positive.any():
+            top = float(np.abs(hi).max())
+            smallest = float(finite.min(where=positive, initial=math.inf))
             if cells.size > 2:
-                margin = top * 2.0**-103 / float(np.spacing(smallest))
+                long_axis = max(1.0, max(cells.shape) / 2.0**27)
+                margin = top * 2.0**-103 / float(np.spacing(smallest)) * long_axis**2
             span = top / smallest
         self._records[key] = _Table(cells, hi, lo, margin, span)
 
@@ -410,17 +412,19 @@ class PrefixTables:
         """Certificate of the mass table (s None) or the w**s table.
 
         max|P| * 2**-104 over half an ulp q0/2 of the smallest positive cell,
-        P the prefix sums, or 0 for a table of at most two cells.  Every
-        cell is an integer multiple of q0, hence so is every sum and rounding
-        error of the double-double arithmetic that builds the table, reduces
-        it to stacks and subtracts two entries.  Its low-order operations
-        (lo + lo, error + lo, the renormalisation) have results of at most
-        4u max|P|, u = 2**-53, on cells of one sign; below 2**53 q0 such a
-        result is a representable multiple of q0, so the operation is exact.
-        With a margin below 1 (a factor 2 to spare), every table entry is its
-        exact prefix sum, and every box sum the scan reads is the correctly
-        rounded exact sum, however long the rows.  A row of at most two cells
-        needs no bound: each entry and box sum is one two_sum of the cells.
+        P the prefix sums, times (N / 2**27)**2 for a longest axis of N >
+        2**27 cells, or 0 for a table of at most two cells.  Below 1, the
+        largest prefix sum is below 2**104 q0 (a factor 2 to spare for the
+        rounding of the largest entry, and the factor keeps N**2 u**2 max|P|
+        below 2**52 q0), which is the condition under which
+        _summation.dd_prefix_tables builds every entry as the normalised pair
+        (RN(P), P - RN(P)) of its exact prefix sum; see that module for the
+        proof.  Every cell is an integer multiple of q0, hence so is every sum
+        and rounding error of the arithmetic that reduces a table to stacks
+        and subtracts two entries, and its low-order operations stay below
+        2**53 q0, so every box sum the scan reads is the correctly rounded
+        exact sum, however long the rows.  A table of at most two cells needs
+        no bound: each entry is one two_sum of the cells, normalised.
         """
         return self._record(s).margin
 
@@ -484,8 +488,8 @@ def _parse_float(tok: str) -> float:
 def _parse_floats(toks) -> np.ndarray:
     """Array of the tokens; per token only if one is hex or malformed."""
     try:
-        # float() accepts no hex literal, so this matches _parse_float
-        return np.array(list(map(float, toks)))
+        # numpy casts each str token with float(), which accepts no hex literal
+        return np.array(toks, dtype=np.float64)
     except ValueError:
         return np.array([_parse_float(t) for t in toks])
 
