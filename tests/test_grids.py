@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from boxweights import (
 from boxweights.errors import PreconditionError, ZeroMeasureBoxError
 from boxweights._summation import dd_add, dd_box_sums, dd_prefix_tables
 from boxweights.grids import (
+    _parse_float,
+    _parse_floats,
     _TokenReader,
     _wrap_floats,
     export_cells_csv,
@@ -360,6 +364,112 @@ class TestBatchedBoxSums:
             assert row == [tables.mass_sum(box), tables.moment_sum(1.0, box), tables.moment_sum(-0.7, box)]
 
 
+def _sequential_prefix_tables(cells):
+    """The per-index dd_add recurrence the cascaded build replaced."""
+    shape = tuple(m + 1 for m in cells.shape)
+    hi = np.zeros(shape, dtype=np.float64)
+    lo = np.zeros(shape, dtype=np.float64)
+    hi[tuple(slice(1, None) for _ in cells.shape)] = cells
+    if cells.ndim == 1:
+        ah, al = 0.0, 0.0
+        out_h, out_l = hi.tolist(), lo.tolist()
+        for j in range(1, shape[0]):
+            ah, al = dd_add(ah, al, out_h[j], 0.0)
+            out_h[j], out_l[j] = ah, al
+        return np.asarray(out_h), np.asarray(out_l)
+    for axis in range(cells.ndim):
+        for j in range(2, shape[axis] + 1):
+            cur = (slice(None),) * axis + (j - 1,)
+            prev = (slice(None),) * axis + (j - 2,)
+            hi[cur], lo[cur] = dd_add(hi[cur], lo[cur], hi[prev], lo[prev])
+    return hi, lo
+
+
+def _certified(cells, hi):
+    """PrefixTables' certificate: at most two cells, or a margin below 1."""
+    positive = cells[cells > 0.0]
+    if cells.size <= 2 or not positive.size:
+        return True
+    return float(np.abs(hi).max()) * 2.0**-103 / float(np.spacing(positive.min())) < 1.0
+
+
+def _table_cases(rng):
+    """Seeded cells of 1 to 3 axes: the kinds of tables the scan certifies."""
+    for n in (*range(1, 41), 256, 1024, 4096):  # power ladders
+        yield power_weight_grid(float(rng.uniform(-0.9, 3.0)), n)[1].values ** float(rng.uniform(-3.0, 3.0)) / n
+    for _ in range(300):  # 1- and 2-cell tables at any ratio, zeros included
+        shape = ((1,), (2,), (1, 2), (2, 1), (1, 1), (1, 2, 1), (2, 1, 1))[int(rng.integers(7))]
+        cells = np.exp(rng.uniform(-700.0, 700.0, shape)) * (rng.random(shape) < 0.8)
+        yield cells
+    for shape in ((2000,), (300,), (40, 40), (12, 12, 12)) * 5:  # margins near 1 on long axes
+        cells = rng.uniform(0.5, 1.0, shape)
+        cells.flat[0] = 2.0 ** float(rng.uniform(47.0, 48.9))
+        yield cells
+    for ndim, top in ((1, 200), (2, 16), (3, 7)):
+        for style in range(6):
+            for _ in range(60):
+                shape = tuple(int(m) for m in rng.integers(1, top, ndim))
+                if style == 0:  # zeros of either sign
+                    cells = np.zeros(shape) * float(rng.choice([1.0, -1.0]))
+                elif style == 1:  # constant cells
+                    cells = np.full(shape, float(np.exp(rng.uniform(-30.0, 30.0))))
+                elif style == 2:  # a huge first cell over small ones
+                    cells = rng.uniform(0.5, 1.0, shape)
+                    cells.flat[0] = 2.0 ** float(rng.uniform(30.0, 51.0))  # margins on both sides of 1
+                elif style == 3:  # powers of two and their ladders
+                    cells = 2.0 ** rng.integers(-20, 20, shape).astype(float)
+                elif style == 4:
+                    cells = np.exp(rng.uniform(-15.0, 15.0, shape))
+                else:
+                    cells = rng.uniform(0.0, 1.0, shape)
+                yield cells * (rng.random(shape) < 0.85)
+
+
+class TestCascadedPrefixTables:
+    def test_certified_tables_equal_the_sequential_recurrence(self):
+        # a certified table is the unique normalised pair, bit for bit
+        rng = np.random.default_rng(21)
+        certified = 0
+        for cells in _table_cases(rng):
+            want = _sequential_prefix_tables(cells)
+            if not _certified(cells, want[0]):
+                continue
+            certified += 1
+            got = dd_prefix_tables(cells)
+            assert got[0].tobytes() == want[0].tobytes(), cells.shape
+            assert got[1].tobytes() == want[1].tobytes(), cells.shape
+        assert certified >= 1000
+
+    def test_entries_are_the_rounded_exact_sums(self):
+        # hi == RN(P) and lo == P - hi exactly, P the exact prefix sum
+        rng = np.random.default_rng(22)
+        checked = 0
+        for cells in itertools.islice(_table_cases(rng), 0, None, 7):
+            if cells.size > 300:
+                continue
+            hi, lo = dd_prefix_tables(cells)
+            if not _certified(cells, hi):
+                continue
+            exact = np.vectorize(Fraction, otypes=[object])(cells)
+            for axis in range(cells.ndim):
+                exact = np.cumsum(exact, axis=axis)
+            for idx in np.ndindex(cells.shape):
+                entry = tuple(i + 1 for i in idx)
+                assert float(hi[entry]) == float(exact[idx])
+                assert Fraction(float(lo[entry])) == exact[idx] - Fraction(float(hi[entry]))
+            checked += 1
+        assert checked >= 100
+
+    def test_overflowed_sums_are_nan_from_the_first_on(self):
+        hi, _ = dd_prefix_tables(np.array([1e308, 1.0, 1e308, 1.0]))
+        assert hi[:2].tolist() == [0.0, 1e308]
+        assert np.isnan(hi[3:]).all()
+        with np.errstate(over="ignore"):
+            measure = GridMeasure((np.arange(4.0),), np.array([1e308, 1e308, 1.0]))
+        with pytest.raises(PreconditionError, match=r"span nan .* \(margin nan\)"):
+            PrefixTables(measure, WeightGrid(np.ones(3))).certify()
+
+
 def _old_tokens(text):
     """The line-by-line tokenizer the reader replaced."""
     return [tok for line in text.splitlines() for tok in line.split("#", 1)[0].split()]
@@ -402,6 +512,28 @@ class TestGridFiles:
         with pytest.raises(ValueError) as err:
             read_grid(path)
         assert str(err.value) == error
+
+    def test_token_cast_equals_float_per_token(self):
+        rng = np.random.default_rng(10)
+        toks = [repr(float(v)) for v in np.exp(rng.uniform(-700.0, 700.0, 500))]
+        toks += ["0", "-0", "+1.5", "1e5", "5e-324", "0.1", "1_000", "\u0661\u0662\u0663", "1e500", "1e-400"]
+        assert _parse_floats(toks).tobytes() == np.array([float(t) for t in toks]).tobytes()
+
+    @pytest.mark.parametrize(
+        "token",
+        ["1_000", "\u0661\u0662\u0663", "\u06f4.5", "Infinity", "1e500", "1e-400",
+         "0x1p-3", "0X1P-3", "1.5e", "--1"],
+    )
+    def test_token_cast_agrees_with_the_per_token_reader(self, token):
+        # same values, or the same error text, as _parse_float token by token
+        def outcome(parse):
+            try:
+                return repr(list(parse()))
+            except ValueError as err:
+                return str(err)
+
+        toks = ["0.5", token, "2"]
+        assert outcome(lambda: _parse_floats(toks).tolist()) == outcome(lambda: map(_parse_float, toks))
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(5)

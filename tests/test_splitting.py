@@ -576,3 +576,35 @@ class TestLostMomentCells:
         weight = WeightGrid(np.array([1.0, 1e-300, 1.0, 2.0]))
         tree = build_tree(measure, weight, config(Q=1.5, Q1=2.0, c=0.2, levels=1))
         assert tree.root.mass == 3.0
+
+
+class TestWeightScale:
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_power_of_two_scale_keeps_positions_and_ratios(self, ndim):
+        # both classes are invariant under w -> c*w; with c = 2**k and moment
+        # exponents -1 (A, p = 2) and 2 (RH, p = 2) every cell moment, table
+        # entry and average scales exactly, by c and by c**s2
+        rng = np.random.default_rng(60 + ndim)
+        built = 0
+        for _ in range(12):
+            measure, weight, cfg = _seeded_case(rng, ndim)
+            cfg = SplitConfig(kind=cfg.kind, p=2.0, Q=cfg.Q, Q1=cfg.Q1, c=cfg.c,
+                              levels=cfg.levels, segment_samples=cfg.segment_samples)
+            s2 = cfg.moment_exponent
+            k = int(rng.choice([-60, -7, 5, 90]))
+            scaled = WeightGrid(np.ldexp(weight.values, k))
+            try:
+                base = build_tree(measure, weight, cfg)
+            except InfeasibleSplitError as exc:
+                with pytest.raises(InfeasibleSplitError) as err:
+                    build_tree(measure, scaled, cfg)
+                assert (err.value.path, err.value.best_ratio) == (exc.path, exc.best_ratio)
+                continue
+            built += 1
+            tree = build_tree(measure, scaled, cfg)
+            for node, ref in zip(tree.nodes(), base.nodes(), strict=True):
+                assert (node.box, node.axis, node.split_index, node.ratio, node.mass) == (
+                    ref.box, ref.axis, ref.split_index, ref.ratio, ref.mass
+                )
+                assert node.point == (math.ldexp(ref.point.x1, k), math.ldexp(ref.point.x2, round(k * s2)))
+        assert built >= 3
