@@ -6,11 +6,12 @@ enough for every box query to round to the correctly rounded double of the
 exact real sum, which is what makes the prefix route bit-identical to an
 independent math.fsum oracle.
 
-All kernels are branch-free and work elementwise on numpy arrays.  Box
-queries go through one batched corner query, dd_box_sums: the bounds of a
-batch of boxes broadcast against each other, and every box in the batch runs
-the same dd_add sequence over its 2**n corners, so a batch of K boxes costs
-2**n vectorised dd_add steps instead of K Python calls.
+All kernels are branch-free and work elementwise on numpy arrays.  Every
+box sum, of the scan, the splitter and a one-box query alike, goes through
+one reduction, dd_box_diffs: it reduces the other axes of a table, axis 0
+first and one dd_sub per axis, to prefix columns along the axis it keeps,
+and the sum is one dd_sub_rounded of two entries of a column.  Index arrays
+in its bounds reduce a batch of boxes with the same operations.
 
 dd_prefix_tables sums one axis at a time with a cascade of cumulative sums
 (after Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J. Sci.
@@ -44,9 +45,9 @@ for the rounding of s, and with P_j <= M the prefix sum of entry j:
 So every pass returns the unique normalised pair (RN(P), P - RN(P)), which
 any exact double-double recurrence returns too, the sequential dd_add over
 the cells among them.  grids.PrefixTables.precision_margin states these
-conditions on a built table; the scan refuses tables beyond them, where
-the pairs are approximations.  A table whose sums overflow holds nan from
-the first overflowed entry of an axis on.
+conditions on a built table; the scan and the splitter refuse tables
+beyond them, where the pairs are approximations.  A table whose sums
+overflow holds nan from the first overflowed entry of an axis on.
 """
 
 from __future__ import annotations
@@ -141,25 +142,25 @@ def dd_prefix_tables(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def dd_box_sums(hi: np.ndarray, lo: np.ndarray, lows, highs) -> np.ndarray:
-    """Box sums by inclusion-exclusion over the 2**n corners, rounded once.
+def dd_box_diffs(hi: np.ndarray, lo: np.ndarray, bounds):
+    """Differences of prefix entries along the bounded axes, axis 0 first.
 
-    ``lows[ax]`` and ``highs[ax]`` bound the boxes [a, b) on axis ``ax`` of
-    the tables; each is an int or an integer array, and together they
-    broadcast to the shape of the batch, so one call answers every box of,
-    say, a slab of split positions.  Axes of the tables beyond ``len(lows)``
-    (a stack of tables) trail the batch axes in the result.  Corner ``mask``
-    takes the low bound on the axes whose bit is set, with sign
-    (-1)**popcount(mask), and the corners are accumulated with dd_add in
-    increasing mask order.  Every element of the batch runs that same
-    sequence of operations, so it equals the one-box query bit for bit.
+    ``bounds[ax]`` is None to keep axis ``ax`` of the tables, or (a, b) to
+    replace entries b by entries b minus entries a, one dd_sub, which on a
+    prefix table sums the range [a, b) of the axis.  Int bounds drop the
+    axis; index arrays, which broadcast against each other, replace it by
+    their shape, each read with one take.  Axes beyond ``len(bounds)`` are
+    kept.  Every element of a batch runs the operations of its one-box
+    reduction, so it equals that reduction bit for bit.
     """
-    ndim = len(lows)
-    acc_h, acc_l = 0.0, 0.0
-    for mask in range(1 << ndim):
-        idx = tuple(
-            lows[ax] if (mask >> ax) & 1 else highs[ax] for ax in range(ndim)
-        )
-        sign = -1.0 if bin(mask).count("1") % 2 else 1.0
-        acc_h, acc_l = dd_add(acc_h, acc_l, sign * hi[idx], sign * lo[idx])
-    return acc_h + acc_l
+    axis = 0
+    for bound in bounds:
+        if bound is None:
+            axis += 1
+            continue
+        a, b = (np.asarray(x) for x in bound)
+        ndim = max(a.ndim, b.ndim)
+        a, b = (x.reshape((1,) * (ndim - x.ndim) + x.shape) for x in (a, b))
+        hi, lo = dd_sub(hi.take(b, axis), lo.take(b, axis), hi.take(a, axis), lo.take(a, axis))
+        axis += ndim
+    return hi, lo

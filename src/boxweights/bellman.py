@@ -30,16 +30,20 @@ from .characteristics import characteristic, pair_gauge
 from .errors import CandidateDomainError, PreconditionError
 from .exponents import ClassKind, PParam, _as_pparam, r_is_admissible
 from .grids import GridMeasure, PrefixTables, WeightGrid, refine
-from .splitting import DEFAULT_SEGMENT_SAMPLES, AvgPoint, segment_max
+from .splitting import AvgPoint, segment_max
 
 DEFAULT_VERIFY_SEGMENTS = 200
 DEFAULT_VERIFY_TOL = 1e-9
 DEFAULT_X1_RANGE = (0.1, 10.0)
-DEFAULT_BOUNDARY_POINTS = 129
+# boundary lattice points of a verification run
+BOUNDARY_POINTS = 129
 DEFAULT_STABILITY_RTOL = 0.01
-DEFAULT_CONTRACTION_THRESHOLD = 0.85
+# increment ratio at or above which an increasing ladder is divergent
+CONTRACTION_THRESHOLD = 0.85
 DEFAULT_REFINE_FACTOR = 4
 DEFAULT_REFINE_LEVELS = 3
+# log-coordinate margin of a tabulated candidate's lattice around the band
+TABLE_PAD = 0.05
 
 
 class Membership(enum.Enum):
@@ -213,7 +217,6 @@ def tabulate_candidate(
     x1_range: tuple[float, float],
     n1: int,
     n2: int,
-    pad: float = 0.05,
     source: str = "table",
 ) -> BellmanCandidate:
     """Sample fn on a log-log lattice covering the band over x1_range.
@@ -224,12 +227,12 @@ def tabulate_candidate(
     """
     p = _as_pparam(p)
     region = AveragePairRegion(kind, p, Q)
-    xi0, xi1 = math.log(x1_range[0]) - pad, math.log(x1_range[1]) + pad
+    xi0, xi1 = math.log(x1_range[0]) - TABLE_PAD, math.log(x1_range[1]) + TABLE_PAD
     corners = []
     for xi in (xi0, xi1):
         for g in (1.0, Q):
             corners.append(math.log(region.x2_at_gauge(math.exp(xi), g)))
-    eta0, eta1 = min(corners) - pad, max(corners) + pad
+    eta0, eta1 = min(corners) - TABLE_PAD, max(corners) + TABLE_PAD
     xi = np.linspace(xi0, xi1, n1)
     eta = np.linspace(eta0, eta1, n2)
     x1g, x2g = np.meshgrid(np.exp(xi), np.exp(eta), indexing="ij")
@@ -343,8 +346,6 @@ def verify_candidate(
     seed: int = 0,
     rel_tol: float = DEFAULT_VERIFY_TOL,
     x1_range: tuple[float, float] = DEFAULT_X1_RANGE,
-    boundary_points: int = DEFAULT_BOUNDARY_POINTS,
-    segment_samples: int = DEFAULT_SEGMENT_SAMPLES,
 ) -> VerificationReport:
     """Check segment concavity, boundary values and growth of a candidate.
 
@@ -379,7 +380,7 @@ def verify_candidate(
                 "segment rejection sampling stalled; check Q and x1_range"
             )
         a, b = draw_point(), draw_point()
-        if segment_max(a, b, region.kind, p, segment_samples) <= region.Q:
+        if segment_max(a, b, region.kind, p) <= region.Q:
             pairs.append((a, b))
 
     violations = []
@@ -415,7 +416,7 @@ def verify_candidate(
                     )
         boundary_err = 0.0
         boundary_arg = math.nan
-        for x1 in np.exp(np.linspace(log_lo, log_hi, boundary_points)):
+        for x1 in np.exp(np.linspace(log_lo, log_hi, BOUNDARY_POINTS)):
             x1 = float(x1)
             x2 = float(region.lower_boundary_x2(x1))
             val = float(evaluate(x1, x2))
@@ -426,24 +427,9 @@ def verify_candidate(
                 boundary_arg = x1
     except CandidateDomainError as exc:
         failure_point = exc.point
-        return VerificationReport(
-            kind=region.kind,
-            p=p.p,
-            r=r,
-            Q=region.Q,
-            segments_tested=len(pairs),
-            violations=tuple(violations),
-            boundary_max_error=math.inf,
-            boundary_argmax_x1=math.nan,
-            c_hat=math.inf,
-            c_hat_point=(math.nan, math.nan),
-            rel_tol=rel_tol,
-            seed=seed,
-            verdict=False,
-            failure_point=failure_point,
-        )
+        boundary_err, boundary_arg = math.inf, math.nan
+        c_hat, c_hat_point = math.inf, (math.nan, math.nan)
 
-    verdict = not violations and math.isfinite(c_hat)
     return VerificationReport(
         kind=region.kind,
         p=p.p,
@@ -457,7 +443,8 @@ def verify_candidate(
         c_hat_point=c_hat_point,
         rel_tol=rel_tol,
         seed=seed,
-        verdict=verdict,
+        verdict=not violations and math.isfinite(c_hat),
+        failure_point=failure_point,
     )
 
 
@@ -516,7 +503,6 @@ def theorem_conclusion_check(
     refine_factor: int = DEFAULT_REFINE_FACTOR,
     levels: int = DEFAULT_REFINE_LEVELS,
     stability_rtol: float = DEFAULT_STABILITY_RTOL,
-    contraction_threshold: float = DEFAULT_CONTRACTION_THRESHOLD,
 ) -> TrendReport:
     """Probe q-class membership across grid refinements.
 
@@ -549,9 +535,9 @@ def theorem_conclusion_check(
     stabilized = last_gap <= stability_rtol
     if stabilized:
         verdict = "stabilizing"
-    elif increasing and contraction is not None and contraction >= contraction_threshold:
+    elif increasing and contraction is not None and contraction >= CONTRACTION_THRESHOLD:
         verdict = "divergent-trend"
-    elif contraction is not None and contraction < contraction_threshold:
+    elif contraction is not None and contraction < CONTRACTION_THRESHOLD:
         verdict = "stabilizing"
     else:
         verdict = "inconclusive"

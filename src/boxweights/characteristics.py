@@ -104,7 +104,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._summation import dd_sub, dd_sub_rounded
+from ._summation import dd_box_diffs, dd_sub_rounded
 from .errors import PreconditionError
 from .exponents import ClassKind, _as_pparam
 from .grids import BoxIdx, GridMeasure, PrefixTables, WeightGrid, moment_cells, validate
@@ -218,7 +218,7 @@ def _overflow_argmax(tables, kind, q, s2, cell, value, box):
         except OverflowError:  # finite cells whose sum overflows
             sums.append(math.inf)
     with np.errstate(all="ignore"):
-        v = _scalar_value(kind, q, *sums)
+        v = float(_vec_values(kind, q, *sums))
     if v != math.inf:
         raise PreconditionError(
             f"a cell moment overflows at cell {cell}, and box {BoxIdx(first)}, the first that "
@@ -294,20 +294,15 @@ _LOG2_LIMIT = 500.0
 
 def _vec_values(kind, q, m, sw, ss):
     """Box values, -inf where the mass is not positive; nan where sw and ss are both 0."""
+    # np.power rather than ** so the oracle's scalar calls and the scan's
+    # arrays use the same exponentiation primitive (libm pow and numpy's
+    # kernel can differ in the last ulp, which would break exact dual-route
+    # agreement).
     if kind is ClassKind.MUCKENHOUPT_A:
         vals = (sw / m) * np.power(ss / m, q - 1.0)
     else:
         vals = np.power(ss / m, 1.0 / q) / (sw / m)
     return np.where(m > 0.0, vals, -np.inf)
-
-
-def _scalar_value(kind, q, m, sw, ss):
-    # np.power rather than ** so scalar and vectorized evaluation use the
-    # same exponentiation primitive (libm pow and numpy's kernel can differ
-    # in the last ulp, which would break exact dual-route agreement).
-    if kind is ClassKind.MUCKENHOUPT_A:
-        return float((sw / m) * np.power(np.float64(ss / m), q - 1.0))
-    return float(np.power(np.float64(ss / m), 1.0 / q) / (sw / m))
 
 
 class _Incumbent:
@@ -364,8 +359,9 @@ def _stacks(HL):
 
     The 1-D tables are one column.  In n-D the leading ranges are those of
     consecutive first-axis starts a1, as many as keep a stack within
-    _STACK_BLOCK entries per table, in lexicographic order; each start's
-    columns are reduced on their own, which bounds the temporaries.
+    _STACK_BLOCK entries per table, in lexicographic order; one
+    dd_box_diffs call reduces the columns of each start, which bounds the
+    temporaries.
     """
     ext = HL.shape[2:]
     if len(ext) == 1:
@@ -387,9 +383,7 @@ def _stacks(HL):
         col = 0
         for a in group:
             # rows [a, b1) for every b1, then every (a, b) pair of each middle axis
-            h, l = dd_sub(HL[0, :, a + 1 :], HL[1, :, a + 1 :], HL[0, :, a, None], HL[1, :, a, None])
-            for ax, (ia, ib) in enumerate(pairs, start=2):
-                h, l = dd_sub(h.take(ib, ax), l.take(ib, ax), h.take(ia, ax), l.take(ia, ax))
+            h, l = dd_box_diffs(HL[0], HL[1], (None, (a, np.arange(a + 1, ext[0])), *pairs))
             for dst, src in zip(hl, (h, l)):
                 dst[:, :, col : col + width[a]] = src.reshape(3, width[a], ext[-1]).transpose(0, 2, 1)
             col += width[a]
@@ -650,7 +644,7 @@ def naive_characteristic(measure, weight, kind: ClassKind, q: float):
             continue
         sw = math.fsum(wcells[slc].reshape(-1).tolist())
         ss = math.fsum(scells[slc].reshape(-1).tolist())
-        v = _scalar_value(kind, q, m, sw, ss)
+        v = float(_vec_values(kind, q, m, sw, ss))
         count += 1
         if v > best:
             best = v

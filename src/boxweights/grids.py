@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._summation import dd_box_sums, dd_prefix_tables
+from ._summation import dd_box_diffs, dd_prefix_tables, dd_sub_rounded
 from .errors import PreconditionError, ZeroMeasureBoxError
 
 MAX_DIM = 3
@@ -195,13 +195,13 @@ def validate(measure: GridMeasure, weight: WeightGrid):
     return measure, weight
 
 
-def uniform_measure(shape, lo=0.0, hi=1.0, total=1.0) -> GridMeasure:
-    """Uniform cell masses on a uniform lattice over [lo, hi] per axis."""
+def uniform_measure(shape) -> GridMeasure:
+    """Uniform cell masses of total 1 on a uniform lattice over [0, 1] per axis."""
     if isinstance(shape, int):
         shape = (shape,)
-    bps = tuple(np.linspace(lo, hi, m + 1) for m in shape)
+    bps = tuple(np.linspace(0.0, 1.0, m + 1) for m in shape)
     cells = int(np.prod(shape))
-    mass = np.full(shape, total / cells)
+    mass = np.full(shape, 1.0 / cells)
     return GridMeasure(bps, mass)
 
 
@@ -351,8 +351,9 @@ class PrefixTables:
     when first asked for: the cells (raw arrays for independent summation
     oracles), the immutable prefix table and its precision certificate,
     made from the largest prefix sum and the smallest positive cell (see
-    precision_margin).  Below 1, every box sum the characteristic scan reads
-    from the table is the correctly rounded exact sum.
+    precision_margin).  Below 1, every box sum read from the table, by the
+    scan, the splitter or mass_sum and moment_sum, is the correctly rounded
+    exact sum.
     """
 
     def __init__(self, measure: GridMeasure, weight: WeightGrid, exponents=()):
@@ -360,7 +361,6 @@ class PrefixTables:
         self.measure = measure
         self.weight = weight
         self._records: dict[float | None, _Table] = {}
-        self._stacks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._add(None, measure.mass)
         for s in exponents:
             self._record(s)
@@ -368,7 +368,7 @@ class PrefixTables:
     def _for_weight(self, weight: WeightGrid) -> "PrefixTables":
         """Tables of another weight on the same lattice, sharing the mass record."""
         other = copy.copy(self)
-        other.weight, other._stacks, other._records = weight, {}, {None: self._records[None]}
+        other.weight, other._records = weight, {None: self._records[None]}
         return other
 
     def _moment_cells(self, s: float) -> np.ndarray:
@@ -419,12 +419,16 @@ class PrefixTables:
         below 2**52 q0), which is the condition under which
         _summation.dd_prefix_tables builds every entry as the normalised pair
         (RN(P), P - RN(P)) of its exact prefix sum; see that module for the
-        proof.  Every cell is an integer multiple of q0, hence so is every sum
-        and rounding error of the arithmetic that reduces a table to stacks
-        and subtracts two entries, and its low-order operations stay below
-        2**53 q0, so every box sum the scan reads is the correctly rounded
-        exact sum, however long the rows.  A table of at most two cells needs
-        no bound: each entry is one two_sum of the cells, normalised.
+        proof.  Every box sum goes through _summation.dd_box_diffs, whose
+        dd_sub per axis reduces the other axes of a box to a prefix column,
+        and one dd_sub_rounded of two entries of that column.  Every cell is
+        an integer multiple of q0, hence so is every sum and rounding error
+        of that arithmetic, and its low-order operations stay below 2**53 q0,
+        so each dd_sub returns the normalised pair of its exact difference
+        and every box sum, the scan's, the splitter's and mass_sum's and
+        moment_sum's alike, is the correctly rounded exact sum, whichever
+        axis is kept and however long the rows.  A table of at most two cells
+        needs no bound: each entry is one two_sum of the cells, normalised.
         """
         return self._record(s).margin
 
@@ -439,28 +443,14 @@ class PrefixTables:
                 f"certify exact (margin {record.margin:.3g})"
             )
 
-    def box_sums(self, exponents, lows, highs) -> np.ndarray:
-        """Sums over a batch of boxes, shape (batch..., len(exponents)).
-
-        An entry None of ``exponents`` stands for the mass, s for the w**s
-        moment; ``lows`` and ``highs`` bound the boxes as in
-        _summation.dd_box_sums, without a shape check.  Each element equals
-        mass_sum or moment_sum of its box bit for bit.  The stacked tables
-        are cached per exponent tuple.
-        """
-        key = tuple(None if s is None else float(s) for s in exponents)
-        if key not in self._stacks:
-            tabs = [self.table(s) for s in key]
-            self._stacks[key] = tuple(np.stack(t, axis=-1) for t in zip(*tabs))
-        return dd_box_sums(*self._stacks[key], lows, highs)
-
     def mass_sum(self, box: BoxIdx) -> float:
         return self.moment_sum(None, box)
 
     def moment_sum(self, s: float | None, box: BoxIdx) -> float:
         box.check_shape(self.measure.shape)
-        lows, highs = zip(*box.ranges)
-        return float(dd_box_sums(*self.table(s), lows, highs))
+        *lead, (a, b) = box.ranges
+        h, l = dd_box_diffs(*self.table(s), lead)
+        return float(dd_sub_rounded(h[b], l[b], h[a], l[a]))
 
 
 def box_average(measure, weight, box: BoxIdx, s: float, tables: PrefixTables | None = None) -> float:
@@ -539,11 +529,15 @@ def write_grid(path, measure: GridMeasure, weight: WeightGrid) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _wrap_floats(arr, per_line: int = 8):
+# floats per line of a written file
+_FLOATS_PER_LINE = 8
+
+
+def _wrap_floats(arr):
     arr = np.asarray(arr, dtype=np.float64).reshape(-1)
     return [
-        " ".join(map(repr, arr[i : i + per_line].tolist()))
-        for i in range(0, arr.size, per_line)
+        " ".join(map(repr, arr[i : i + _FLOATS_PER_LINE].tolist()))
+        for i in range(0, arr.size, _FLOATS_PER_LINE)
     ]
 
 

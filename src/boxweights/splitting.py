@@ -8,11 +8,14 @@ two child average points stays inside the enlarged admissible band
 {1 <= gauge <= Q1}, checked by dense sampling.  Among feasible positions
 the one with ratio closest to 1/2 wins, ties to the smaller index.
 
-A node reads the sums of all its split positions from two batched
-prefix-table queries and samples the segments of the window positions in
-chunks, in (|ratio - 1/2|, index) order; the first feasible candidate wins
-(see choose_position).  Every number equals the per-position query's, bit
-for bit, and children take their masses and points from the split.
+A node reduces the other axes of its box to one prefix column per table
+along the split axis, reads the sums of all its split positions as rounded
+differences of two entries of a column, and samples the segments of the
+window positions in chunks, in (|ratio - 1/2|, index) order; the first
+feasible candidate wins (see choose_position).  build_tree refuses tables
+beyond the precision certificate, as the scan does, so every sum is the
+correctly rounded exact sum, and children take their masses and points
+from the split.
 
 Iterating M times produces a complete binary tree of 2**M leaves that
 partition the root.  The leaf-piecewise average functions converge to the
@@ -30,6 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._summation import dd_box_diffs, dd_sub_rounded
 from .characteristics import pair_gauge, second_moment_exponent
 from .errors import InfeasibleSplitError, PreconditionError, ZeroMeasureBoxError
 from .exponents import ClassKind, PParam, _as_pparam
@@ -197,15 +201,17 @@ def choose_position(
     """Select the split breakpoint along the axis.
 
     Feasible positions have child mass ratio in (c, 1-c) and segment maximum
-    at most Q1.  One batched query gives the mass, w and w**s2 sums of the
-    left child of every position, hence every mass ratio; one more gives
-    those of the right children of the window positions.  The window is
-    ordered by (|ratio - 1/2|, index), and its segment maxima are evaluated
-    in chunks of 8, 16, 32, then 64 candidates; the first feasible candidate
-    in that order wins.  With no feasible position every window candidate
-    has been evaluated, and an InfeasibleSplitError reports the ratio
-    closest to 1/2 over all positions and the smallest segment maximum seen
-    inside the ratio window.
+    at most Q1.  The other axes of the box are reduced once per table, mass,
+    w and w**s2, to a prefix column along the axis
+    (_summation.dd_box_diffs); the sums of the box, of the left child of
+    every position and of the right children of the window positions are
+    rounded differences of two entries of it (dd_sub_rounded).  The window
+    is ordered by (|ratio - 1/2|, index), and its segment maxima are
+    evaluated in chunks of 8, 16, 32, then 64 candidates; the first
+    feasible candidate in that order wins.  With no feasible position every
+    window candidate has been evaluated, and an InfeasibleSplitError
+    reports the ratio closest to 1/2 over all positions and the smallest
+    segment maximum seen inside the ratio window.
     """
     s2 = config.moment_exponent
     tables = own_tables(measure, weight, tables, (1.0, s2))
@@ -215,39 +221,44 @@ def choose_position(
             f"box {box} has a single cell along axis {axis}; no interior breakpoint",
             box=box,
         )
-    total = tables.mass_sum(box)
+    box.check_shape(measure.shape)
+    bounds = [None if ax == axis else r for ax, r in enumerate(box.ranges)]
+    columns = [dd_box_diffs(*tables.table(s), bounds) for s in (None, 1.0, s2)]
+
+    def between(x, y):
+        # mass, w and w**s2 sums (3, ...) over [x, y) of the axis
+        return np.array([dd_sub_rounded(h[y], l[y], h[x], l[x]) for h, l in columns])
+
+    total = float(between(a, b)[0])
     if total <= 0.0:
         raise ZeroMeasureBoxError(box)
 
-    # Mass, w and w**s2 sums of the left children of every position, then of
-    # the right children of the window positions, in (|ratio - 1/2|, k) order.
-    moments = (None, 1.0, s2)
+    # Sums of the left children of every position, then of the right
+    # children of the window positions, in (|ratio - 1/2|, k) order.
     ks = np.arange(a + 1, b)
-    lows, highs = (list(r) for r in zip(*box.ranges))
-    left = tables.box_sums(moments, lows, highs[:axis] + [ks] + highs[axis + 1 :])
-    ratios = left[:, 0] / total
+    left = between([a], ks)
+    ratios = left[0] / total
     inside = (config.c < ratios) & (ratios < 1.0 - config.c)
     order = np.flatnonzero(inside)[np.lexsort((ks[inside], np.abs(ratios[inside] - 0.5)))]
     cand = ks[order]
-    right = tables.box_sums(moments, lows[:axis] + [cand] + lows[axis + 1 :], highs)
-    children = (left[order], right)
+    children = (left[:, order], between(cand, [b]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # (x1, x2) of the left and the right children; a zero mass or a
         # nonpositive coordinate is reported below, in candidate order.
-        points = [sums[:, 1:] / sums[:, :1] for sums in children]
+        points = [sums[1:] / sums[0] for sums in children]
         lam = _samples(config.segment_samples)
         best_psi = None
         start, size = 0, 8
         while start < cand.size:
             chunk = slice(start, start + size)
-            ends = (x[chunk, j] for x in points for j in (0, 1))
+            ends = (x[j, chunk] for x in points for j in (0, 1))
             smax = segment_maxima(lam, *ends, config.kind, config.p)
             for i, psi in enumerate(smax.tolist(), start):
                 k = int(cand[i])
                 for side, sums in enumerate(children):
-                    if sums[i, 0] <= 0.0:
+                    if sums[0, i] <= 0.0:
                         raise ZeroMeasureBoxError(_split_box(box, axis, k)[side])
-                x_left, x_right = (AvgPoint(*x[i].tolist()) for x in points)
+                x_left, x_right = (AvgPoint(*x[:, i].tolist()) for x in points)
                 if min(*x_left, *x_right) <= 0.0:
                     raise PreconditionError("average points must have positive coordinates")
                 if psi <= config.Q1:
@@ -259,8 +270,8 @@ def choose_position(
                         segment_psi_max=psi,
                         left_point=x_left,
                         right_point=x_right,
-                        left_mass=float(children[0][i, 0]),
-                        right_mass=float(children[1][i, 0]),
+                        left_mass=float(children[0][0, i]),
+                        right_mass=float(children[1][0, i]),
                     )
                 if best_psi is None or psi < best_psi:
                     best_psi = psi
@@ -293,6 +304,8 @@ def build_tree(
     infeasible node aborts the build and reports its path.  A PreconditionError
     names the first positive-mass cell of the root box whose w or w**s2
     moment cell is 0 or non-finite: the averages would silently leave it out.
+    Tables beyond the precision certificate are refused as the scan refuses
+    them, with the span of the worst of the mass, w and w**s2 tables.
     ``tables``, if given, must have been built for this measure and weight.
     """
     s2 = config.moment_exponent
@@ -309,6 +322,7 @@ def build_tree(
             f"cell moment of w**{float(s)!r} is {moment!r} at positive-mass cell {cell}: it "
             f"under- or overflows, and split averages would leave it out"
         )
+    tables.certify(max((None, 1.0, s2), key=tables.precision_margin))
     mass = tables.mass_sum(root_box)
     if mass <= 0.0:
         raise ZeroMeasureBoxError(root_box)

@@ -430,9 +430,9 @@ def _row_maximum(measure, weight, kind, q, a):
     s2 = second_moment_exponent(kind, q)
     mass, w = measure.mass, weight.values
     return max(
-        characteristics._scalar_value(
+        float(characteristics._vec_values(
             kind, q, *(math.fsum(x[a:b]) for x in (mass, mass * w, mass * w**s2))
-        )
+        ))
         for b in range(a + 1, len(mass) + 1)
     )
 

@@ -22,7 +22,7 @@ from boxweights import (
     write_grid,
 )
 from boxweights.errors import PreconditionError, ZeroMeasureBoxError
-from boxweights._summation import dd_add, dd_box_sums, dd_prefix_tables
+from boxweights._summation import dd_add, dd_box_diffs, dd_prefix_tables, dd_sub_rounded
 from boxweights.grids import (
     _parse_float,
     _parse_floats,
@@ -330,38 +330,96 @@ class TestPrefixConsistency:
         assert np.all(np.isfinite(cells))
 
 
-class TestBatchedBoxSums:
-    def test_batch_equals_corner_loop(self):
-        # every element of a batched query equals the one-box corner loop
-        rng = np.random.default_rng(7)
-        for ndim in (1, 2, 3):
-            shape = tuple(int(n) for n in rng.integers(2, 7, ndim))
-            cells = np.exp(rng.uniform(-20.0, 20.0, shape)) * (rng.random(shape) < 0.8)
-            hi, lo = dd_prefix_tables(cells)
-            ends = [np.sort(rng.integers(0, m + 1, (2, 50)), axis=0) for m in shape]
-            lows = [e[0] for e in ends]
-            highs = [e[1] for e in ends]
-            batch = dd_box_sums(hi, lo, lows, highs)
-            for i in range(50):
-                acc_h, acc_l = 0.0, 0.0
-                for mask in range(1 << ndim):
-                    idx = tuple(
-                        int(lows[ax][i] if (mask >> ax) & 1 else highs[ax][i])
-                        for ax in range(ndim)
-                    )
-                    sign = -1.0 if bin(mask).count("1") % 2 else 1.0
-                    acc_h, acc_l = dd_add(acc_h, acc_l, sign * hi[idx], sign * lo[idx])
-                assert repr(float(batch[i])) == repr(float(acc_h + acc_l))
+def _exact_prefix(cells):
+    """Prefix sums of the cells as exact Fractions, shape cells.shape + 1 per axis."""
+    exact = np.zeros(tuple(m + 1 for m in cells.shape), dtype=object)
+    exact[(slice(1, None),) * cells.ndim] = np.vectorize(Fraction, otypes=[object])(cells)
+    for axis in range(cells.ndim):
+        exact = np.cumsum(exact, axis=axis)
+    return exact
 
-    def test_stacked_tables_match_single_queries(self):
-        rng = np.random.default_rng(8)
-        measure, weight = random_pair(rng, max_cells=6, ndim_choices=(2,), zero_mass_fraction=0.2)
-        tables = PrefixTables(measure, weight, (1.0, -0.7))
-        ks = np.arange(1, measure.shape[0] + 1)
-        got = tables.box_sums((None, 1.0, -0.7), [0, 1], [ks, measure.shape[1]])
-        for row, k in zip(got.tolist(), ks.tolist()):
-            box = BoxIdx(((0, k), (1, measure.shape[1])))
-            assert row == [tables.mass_sum(box), tables.moment_sum(1.0, box), tables.moment_sum(-0.7, box)]
+
+def _exact_box_sum(exact, ranges):
+    """Exact sum over the box from a Fraction prefix table, by inclusion-exclusion."""
+    total = Fraction(0)
+    for corner in itertools.product(*(((b, 1), (a, -1)) for a, b in ranges)):
+        sign = math.prod(sg for _, sg in corner)
+        total += sign * exact[tuple(i for i, _ in corner)]
+    return total
+
+
+class TestBoxDiffs:
+    def test_scan_style_batches_equal_one_box_reductions(self):
+        # The scan's bounds: a start and every end on axis 0, every (a, b)
+        # pair of each middle axis, the last axis kept, three tables stacked
+        # on a kept leading axis.  Each element equals the one-box reduction
+        # bit for bit, on tables far beyond the certificate too.
+        rng = np.random.default_rng(31)
+        checked = 0
+        for ndim in (1, 2, 3):
+            for _ in range(12):
+                shape = tuple(int(n) for n in rng.integers(1, 7, ndim))
+                cells = np.exp(rng.uniform(-300.0, 300.0, (3, *shape))) * (rng.random((3, *shape)) < 0.8)
+                hi, lo = (np.stack(t) for t in zip(*map(dd_prefix_tables, cells)))
+                ext = hi.shape[1:]
+                if ndim == 1:
+                    ia, ib = np.triu_indices(ext[0], k=1)
+                    h, l = dd_box_diffs(hi, lo, (None, (ia, ib)))
+                    for k, (a, b) in enumerate(zip(ia.tolist(), ib.tolist())):
+                        one = dd_box_diffs(hi, lo, (None, (a, b)))
+                        assert [h[:, k].tobytes(), l[:, k].tobytes()] == [x.tobytes() for x in one]
+                        checked += 1
+                    continue
+                pairs = [np.triu_indices(n, k=1) for n in ext[1:-1]]
+                for a in range(ext[0] - 1):
+                    h, l = dd_box_diffs(hi, lo, (None, (a, np.arange(a + 1, ext[0])), *pairs))
+                    for idx in np.ndindex(h.shape[1:-1]):
+                        ranges = [(a, a + 1 + idx[0])]
+                        ranges += [(int(ia[k]), int(ib[k])) for (ia, ib), k in zip(pairs, idx[1:])]
+                        one = dd_box_diffs(hi, lo, (None, *ranges))
+                        got = (h[(slice(None), *idx)], l[(slice(None), *idx)])
+                        assert [x.tobytes() for x in got] == [x.tobytes() for x in one]
+                        checked += 1
+        assert checked >= 1000
+
+    def test_certified_sums_are_the_exact_sum_rounded_once(self):
+        # Whichever axis is kept (the splitter's columns; the last is
+        # mass_sum's and the scan's), every box sum of a certified table is
+        # the exact Fraction sum rounded once.
+        rng = np.random.default_rng(32)
+        tables = 0
+        for ndim, top, count in ((1, 13, 60), (2, 7, 40), (3, 5, 20)):
+            for t in range(count):
+                shape = tuple(int(m) for m in rng.integers(1, top, ndim))
+                style = t % 4
+                if style == 0:
+                    cells = np.exp(rng.uniform(-15.0, 15.0, shape))
+                elif style == 1:  # a huge first cell over small ones
+                    cells = rng.uniform(0.5, 1.0, shape)
+                    cells.flat[0] = 2.0 ** float(rng.uniform(30.0, 49.0))
+                elif style == 2:
+                    cells = 2.0 ** rng.integers(-20, 20, shape).astype(float)
+                else:
+                    cells = rng.uniform(0.0, 1.0, shape)
+                cells = cells * (rng.random(shape) < 0.85)
+                if not cells.sum() > 0:
+                    continue
+                measure = GridMeasure(tuple(np.arange(m + 1.0) for m in shape), cells)
+                prefix = PrefixTables(measure, WeightGrid(np.ones(shape)))
+                if not prefix.precision_margin() < 1.0:
+                    continue
+                tables += 1
+                hi, lo = prefix.mass_table
+                exact = _exact_prefix(cells)
+                for ranges in itertools.product(*(itertools.combinations(range(m + 1), 2) for m in shape)):
+                    want = float(_exact_box_sum(exact, ranges))
+                    assert prefix.mass_sum(BoxIdx(ranges)) == want
+                    for keep in range(ndim):
+                        bounds = [None if ax == keep else r for ax, r in enumerate(ranges)]
+                        h, l = dd_box_diffs(hi, lo, bounds)
+                        a, b = ranges[keep]
+                        assert float(dd_sub_rounded(h[b], l[b], h[a], l[a])) == want, (ranges, keep)
+        assert tables >= 100
 
 
 def _sequential_prefix_tables(cells):

@@ -558,6 +558,29 @@ class TestBatchedSplitterAgainstLoop:
                             kind, p) for i in range(512)] == single
 
 
+class TestPrecisionCertificate:
+    def test_tables_beyond_the_certificate_are_refused_as_the_scan_refuses_them(self):
+        # mass in e**[-1, 1] and w in e**[-200, 200]: no moment cell is lost,
+        # but the moment tables span far beyond what double-double certifies
+        rng = np.random.default_rng(11)
+        refused = 0
+        for shape in ((7,), (3, 4), (3, 4, 2), (2, 2, 3)) * 3:
+            bps = tuple(np.arange(m + 1.0) for m in shape)
+            measure = GridMeasure(bps, np.exp(rng.uniform(-1.0, 1.0, shape)))
+            weight = WeightGrid(np.exp(rng.uniform(-200.0, 200.0, shape)))
+            kind = A if rng.random() < 0.5 else ClassKind.REVERSE_HOLDER
+            p = float(rng.uniform(1.7, 4.0) if kind is A else rng.uniform(1.1, 1.5))
+            with pytest.raises(PreconditionError) as scan:
+                characteristic(measure, weight, kind, p)
+            cfg = SplitConfig(kind=kind, p=p, Q=1e6, Q1=1e300, levels=2)
+            with pytest.raises(PreconditionError) as split:
+                build_tree(measure, weight, cfg)
+            assert str(split.value) == str(scan.value)
+            assert "beyond the about 2**51" in str(split.value)
+            refused += 1
+        assert refused == 12
+
+
 class TestLostMomentCells:
     def test_underflowing_moment_is_named(self):
         rng = np.random.default_rng(0)
