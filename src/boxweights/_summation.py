@@ -73,8 +73,22 @@ def dd_add(ah, al, bh, bl):
 
 
 def dd_sub(ah, al, bh, bl):
-    """Subtract double-double values: (ah, al) - (bh, bl)."""
-    return dd_add(ah, al, -bh, -bl)
+    """Subtract double-double values: (ah, al) - (bh, bl).
+
+    Equals dd_add(ah, al, -bh, -bl) bit for bit, signed zeros included,
+    without negating the operands.  IEEE 754 defines x - y as x + (-y),
+    which covers s and al - bl.  two_sum's error (ah - (s - t)) + (-bh - t)
+    is written (ah + (t - s)) - (bh + t): the values are the same, and
+    where bh + t is an exact zero, so are the signs of the zeros
+    (tests/test_grids.py checks every combination of signed zeros,
+    infinities and boundary values).
+    """
+    s = ah - bh
+    t = s - ah
+    e = ((ah + (t - s)) - (bh + t)) + (al - bl)
+    hi = s + e
+    lo = e - (hi - s)
+    return hi, lo
 
 
 def dd_sub_rounded(ah, al, bh, bl):

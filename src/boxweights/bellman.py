@@ -30,13 +30,17 @@ from .characteristics import characteristic, pair_gauge
 from .errors import CandidateDomainError, PreconditionError
 from .exponents import ClassKind, PParam, _as_pparam, r_is_admissible
 from .grids import GridMeasure, PrefixTables, WeightGrid, refine
-from .splitting import AvgPoint, segment_max
+from .splitting import DEFAULT_SEGMENT_SAMPLES, _samples, segment_maxima
 
 DEFAULT_VERIFY_SEGMENTS = 200
 DEFAULT_VERIFY_TOL = 1e-9
 DEFAULT_X1_RANGE = (0.1, 10.0)
 # boundary lattice points of a verification run
 BOUNDARY_POINTS = 129
+# weights lam of the points lam*a + (1-lam)*b checked on each segment
+QUARTER_POINTS = (0.25, 0.5, 0.75)
+# most attempts the segment sampling draws at once
+SAMPLING_CHUNK = 1024
 DEFAULT_STABILITY_RTOL = 0.01
 # increment ratio at or above which an increasing ladder is divergent
 CONTRACTION_THRESHOLD = 0.85
@@ -125,12 +129,17 @@ class CandidateTable:
         object.__setattr__(self, "values", values)
 
     def __call__(self, x1, x2):
+        """Values at the points (x1, x2), elementwise on broadcast arrays.
+
+        A CandidateDomainError names the first point outside the lattice in
+        C order of the broadcast shape.
+        """
         xi = np.log(x1)
         eta = np.log(x2)
-        if np.any(xi < self.xi[0]) or np.any(xi > self.xi[-1]) or np.any(
-            eta < self.eta[0]
-        ) or np.any(eta > self.eta[-1]):
-            bad = (float(np.atleast_1d(x1).reshape(-1)[0]), float(np.atleast_1d(x2).reshape(-1)[0]))
+        outside = (xi < self.xi[0]) | (xi > self.xi[-1]) | (eta < self.eta[0]) | (eta > self.eta[-1])
+        if np.any(outside):
+            k = int(np.argmax(outside.reshape(-1)))
+            bad = tuple(float(x.reshape(-1)[k]) for x in np.broadcast_arrays(x1, x2))
             raise CandidateDomainError(bad, f"point outside tabulated lattice: {bad}")
         i = np.clip(np.searchsorted(self.xi, xi, side="right") - 1, 0, self.xi.size - 2)
         j = np.clip(np.searchsorted(self.eta, eta, side="right") - 1, 0, self.eta.size - 2)
@@ -184,7 +193,7 @@ class BellmanCandidate:
             r=r,
             Q=Q,
             source=f"builtin:power:{r!r}",
-            _impl=lambda x1, x2: x1**r,
+            _impl=lambda x1, x2: _python_power(x1, r),
         )
 
     @classmethod
@@ -192,6 +201,18 @@ class BellmanCandidate:
         cls, kind: ClassKind, p, r: float, Q: float, table: CandidateTable, source="table"
     ) -> "BellmanCandidate":
         return cls(kind=kind, p=p, r=r, Q=Q, source=source, _impl=table)
+
+
+def _python_power(x, r: float):
+    """x**r by Python's float power, elementwise on arrays.
+
+    np.power can differ from it in the last place, and so move c_hat
+    between an array call and a call per point.
+    """
+    if np.ndim(x) == 0:
+        return float(x) ** r
+    x = np.asarray(x, dtype=np.float64)
+    return np.array([v**r for v in x.reshape(-1).tolist()], dtype=np.float64).reshape(x.shape)
 
 
 def builtin_candidate(spec: str, kind: ClassKind, p, Q: float) -> BellmanCandidate:
@@ -355,6 +376,15 @@ def verify_candidate(
     automatic because the region above the boundary power curve is convex.
     Midpoint and quarter-point concavity deficits beyond rel_tol * scale are
     violations.  Deterministic for a fixed seed.
+
+    The candidate, a BellmanCandidate or a plain callable (x1, x2) -> value,
+    is called on arrays and must work elementwise: one call takes the
+    endpoints, the quarter points and the midpoint of every segment, a, b,
+    m.25, m.5, m.75 per segment, then the BOUNDARY_POINTS boundary lattice.
+    A CandidateDomainError must name the first point of the call outside
+    the domain; that point is the report's failure_point, and the
+    violations are those found at the points before it.  The report is the
+    one of evaluating the points one at a time in that order.
     """
     p = region.p
     if not r_is_admissible(region.kind, p, region.Q, r):
@@ -363,72 +393,57 @@ def verify_candidate(
             f"{region.kind.value} with p={p.p}, Q={region.Q}"
         )
     evaluate = candidate.evaluate if hasattr(candidate, "evaluate") else candidate
-    rng = np.random.default_rng(seed)
     log_lo, log_hi = math.log(x1_range[0]), math.log(x1_range[1])
+    pairs = _sample_segments(region, segments, np.random.default_rng(seed), log_lo, log_hi)
 
-    def draw_point() -> AvgPoint:
-        x1 = math.exp(rng.uniform(log_lo, log_hi))
-        g = rng.uniform(1.0, region.Q)
-        return AvgPoint(x1, float(region.x2_at_gauge(x1, g)))
+    # The points in evaluation order: a, b and the quarter points of each
+    # segment as the rows of (segments, 5) arrays, then the boundary lattice.
+    ends = np.array(pairs).reshape(-1, 4)
+    lams = np.array(QUARTER_POINTS)
 
-    pairs = []
-    attempts = 0
-    while len(pairs) < segments:
-        attempts += 1
-        if attempts > 1000 * segments:
-            raise PreconditionError(
-                "segment rejection sampling stalled; check Q and x1_range"
-            )
-        a, b = draw_point(), draw_point()
-        if segment_max(a, b, region.kind, p) <= region.Q:
-            pairs.append((a, b))
+    def on_segments(a, b):
+        return np.column_stack([a, b, lams * a[:, None] + (1.0 - lams) * b[:, None]]).ravel()
 
-    violations = []
-    c_hat = -math.inf
-    c_hat_point = (math.nan, math.nan)
-    failure_point = None
+    bx1 = np.exp(np.linspace(log_lo, log_hi, BOUNDARY_POINTS))
+    bx2 = np.array([float(region.lower_boundary_x2(x)) for x in bx1.tolist()])
+    x1 = np.concatenate([on_segments(ends[:, 0], ends[:, 2]), bx1])
+    x2 = np.concatenate([on_segments(ends[:, 1], ends[:, 3]), bx2])
+    n_seg = 5 * len(pairs)
+    values, failure_point = _values_before_failure(evaluate, x1, x2)
 
-    def track_growth(x1, x2, value):
-        nonlocal c_hat, c_hat_point
-        ratio = value / x1**r
-        if ratio > c_hat:
-            c_hat = ratio
-            c_hat_point = (x1, x2)
+    # Growth ratios in Python floats, so that a division by zero or an
+    # overflow raises as one point at a time raises it: there the ratios of
+    # a and b follow the evaluation of both.
+    n = values.size
+    if failure_point is not None and n < n_seg and n % 5 == 1:
+        n -= 1
+    x1_list = x1.tolist()
+    ratios = np.array([v / x**r for v, x in zip(values[:n].tolist(), x1_list)])
 
-    try:
-        for a, b in pairs:
-            va = float(evaluate(a.x1, a.x2))
-            vb = float(evaluate(b.x1, b.x2))
-            track_growth(a.x1, a.x2, va)
-            track_growth(b.x1, b.x2, vb)
-            for lam in (0.25, 0.5, 0.75):
-                mx1 = lam * a.x1 + (1.0 - lam) * b.x1
-                mx2 = lam * a.x2 + (1.0 - lam) * b.x2
-                vm = float(evaluate(mx1, mx2))
-                track_growth(mx1, mx2, vm)
-                deficit = lam * va + (1.0 - lam) * vb - vm
-                scale = max(1.0, abs(va), abs(vb), abs(vm))
-                if deficit > rel_tol * scale:
-                    violations.append(
-                        ConcavityViolation(
-                            x_a=tuple(a), x_b=tuple(b), lam=lam, deficit=deficit
-                        )
-                    )
-        boundary_err = 0.0
-        boundary_arg = math.nan
-        for x1 in np.exp(np.linspace(log_lo, log_hi, BOUNDARY_POINTS)):
-            x1 = float(x1)
-            x2 = float(region.lower_boundary_x2(x1))
-            val = float(evaluate(x1, x2))
-            track_growth(x1, x2, val)
-            err = abs(val - x1**r)
-            if err > boundary_err:
-                boundary_err = err
-                boundary_arg = x1
-    except CandidateDomainError as exc:
-        failure_point = exc.point
-        boundary_err, boundary_arg = math.inf, math.nan
-        c_hat, c_hat_point = math.inf, (math.nan, math.nan)
+    # Points at and after a domain failure are NaN, which no deficit test passes.
+    seg_values = np.full(n_seg, np.nan)
+    seg_values[: min(values.size, n_seg)] = values[:n_seg]
+    va, vb, vm = np.split(seg_values.reshape(-1, 5), [1, 2], axis=1)
+    deficits = lams * va + (1.0 - lams) * vb - vm
+    scales = np.maximum(np.maximum(np.maximum(1.0, np.abs(va)), np.abs(vb)), np.abs(vm))
+    violations = tuple(
+        ConcavityViolation(
+            x_a=pairs[i][:2], x_b=pairs[i][2:], lam=QUARTER_POINTS[j], deficit=float(deficits[i, j])
+        )
+        for i, j in zip(*np.nonzero(deficits > rel_tol * scales))
+    )
+
+    boundary_err, boundary_arg = math.inf, math.nan
+    c_hat, c_hat_point = math.inf, (math.nan, math.nan)
+    if failure_point is None:
+        errors = np.abs(values[n_seg:] - np.array([x**r for x in bx1.tolist()]))
+        k = _first_max(errors, 0.0)
+        boundary_err, boundary_arg = (0.0, math.nan) if k is None else (float(errors[k]), float(bx1[k]))
+        k = _first_max(ratios, -math.inf)
+        if k is None:
+            c_hat, c_hat_point = -math.inf, (math.nan, math.nan)
+        else:
+            c_hat, c_hat_point = float(ratios[k]), (x1_list[k], float(x2[k]))
 
     return VerificationReport(
         kind=region.kind,
@@ -436,7 +451,7 @@ def verify_candidate(
         r=r,
         Q=region.Q,
         segments_tested=len(pairs),
-        violations=tuple(violations),
+        violations=violations,
         boundary_max_error=boundary_err,
         boundary_argmax_x1=boundary_arg,
         c_hat=c_hat,
@@ -446,6 +461,84 @@ def verify_candidate(
         verdict=not violations and math.isfinite(c_hat),
         failure_point=failure_point,
     )
+
+
+def _sample_segments(region, segments, rng, log_lo, log_hi) -> list[tuple[float, float, float, float]]:
+    """Endpoints (a.x1, a.x2, b.x1, b.x2) of ``segments`` in-band segments.
+
+    Attempt k draws a and then b from rng, each as x1 = exp(uniform(log_lo,
+    log_hi)) and then a gauge uniform in [1, Q], with math.exp and
+    x2_at_gauge in Python floats; it keeps the segment if segment_max is at
+    most Q.  Attempts run in chunks with one segment_maxima call each, which
+    equals segment_max bit for bit.  Each error fires at the attempt where
+    it fires one attempt at a time: the stall past 1000 * segments
+    attempts, segment_max's refusal of a nonpositive coordinate, and an
+    error of a draw (math.exp or x2_at_gauge overflowing).
+    """
+    lows = np.array([log_lo, 1.0, log_lo, 1.0])
+    highs = np.array([log_hi, region.Q, log_hi, region.Q])
+    lam = _samples(DEFAULT_SEGMENT_SAMPLES)
+    limit = 1000 * segments
+    pairs, attempts = [], 0
+    while len(pairs) < segments:
+        if attempts >= limit:
+            raise PreconditionError("segment rejection sampling stalled; check Q and x1_range")
+        need = segments - len(pairs)
+        # the attempts the rest needs at the acceptance rate so far, and some slack
+        size = min(need * (attempts + 1) // (len(pairs) + 1) + 16, SAMPLING_CHUNK, limit - attempts)
+        drawn, error = [], None
+        for la, ga, lb, gb in rng.uniform(lows, highs, (size, 4)).tolist():
+            try:
+                a1 = math.exp(la)
+                a2 = float(region.x2_at_gauge(a1, ga))
+                b1 = math.exp(lb)
+                b2 = float(region.x2_at_gauge(b1, gb))
+            except ArithmeticError as exc:  # raised below, at its attempt
+                error = exc
+                break
+            drawn.append((a1, a2, b1, b2))
+        if drawn:
+            coords = np.array(drawn).T
+            with np.errstate(all="ignore"):
+                inside = segment_maxima(lam, *coords, region.kind, region.p) <= region.Q
+            refused = np.flatnonzero((coords <= 0.0).any(axis=0))
+            stop = int(refused[0]) if refused.size else len(drawn)
+            kept = np.flatnonzero(inside[:stop])[:need]
+            pairs.extend(drawn[k] for k in kept.tolist())
+            if len(kept) == need:
+                break
+            if refused.size:
+                raise PreconditionError("average points must have positive coordinates")
+        attempts += len(drawn)
+        if error is not None:
+            raise error
+    return pairs
+
+
+def _values_before_failure(evaluate, x1, x2):
+    """Candidate values at the points before the first one outside its domain.
+
+    Returns the values and the point a CandidateDomainError named, or None.
+    The points before the named one are evaluated again in one call.
+    """
+    n, failure_point = x1.size, None
+    while n:
+        try:
+            return np.broadcast_to(np.asarray(evaluate(x1[:n], x2[:n]), dtype=np.float64), (n,)), failure_point
+        except CandidateDomainError as exc:
+            failure_point = exc.point
+            named = np.flatnonzero((x1[:n] == exc.point[0]) & (x2[:n] == exc.point[1]))
+            n = int(named[0]) if named.size else 0
+    return np.empty(0), failure_point
+
+
+def _first_max(x: np.ndarray, floor: float) -> int | None:
+    """Index of the first maximum of x above floor, NaN never counting, or None.
+
+    It is the index a running ``if v > best`` scan from best = floor ends on.
+    """
+    above = np.where(x > floor, x, floor)
+    return int(np.argmax(above)) if np.any(above > floor) else None
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -394,23 +394,31 @@ def chain_report(tree: SplitTree, r: float, candidate) -> ChainReport:
     """Evaluate the candidate chain over the tree levels.
 
     candidate is either a BellmanCandidate or a plain callable (x1, x2) ->
-    value.  Evaluation failures are annotated with the offending point.
+    value; it is called once per level, on the arrays of the level's
+    average points, and must work elementwise.  If that call fails, the
+    level's points are evaluated one at a time, in order, and the error
+    names the first failing point.
     """
-    evaluate: Callable[[float, float], float]
     evaluate = candidate.evaluate if hasattr(candidate, "evaluate") else candidate
     total = tree.root.mass
     s_values = []
-    for level_nodes in tree.levels:
-        terms = []
-        for node in level_nodes:
-            try:
-                val = float(evaluate(node.point.x1, node.point.x2))
-            except Exception as exc:
-                raise PreconditionError(
-                    f"candidate evaluation failed at point {tuple(node.point)}: {exc}"
-                ) from exc
-            terms.append(node.mass / total * val)
-        s_values.append(math.fsum(terms))
+    for level, nodes in enumerate(tree.levels):
+        x1, x2 = (np.array([node.point[j] for node in nodes]) for j in (0, 1))
+        try:
+            values = np.broadcast_to(np.asarray(evaluate(x1, x2), dtype=np.float64), x1.shape)
+        except Exception as exc:
+            for node in nodes:
+                try:
+                    float(evaluate(node.point.x1, node.point.x2))
+                except Exception as node_exc:
+                    raise PreconditionError(
+                        f"candidate evaluation failed at point {tuple(node.point)}: {node_exc}"
+                    ) from node_exc
+            raise PreconditionError(
+                f"candidate evaluation failed on the level-{level} points: {exc}"
+            ) from exc
+        masses = np.array([node.mass for node in nodes])
+        s_values.append(math.fsum((masses / total * values).tolist()))
     terminal = tree.tables.moment_sum(r, tree.root.box) / total
     return ChainReport(r=r, s_values=tuple(s_values), terminal_avg_wr=terminal)
 

@@ -22,7 +22,7 @@ from boxweights import (
     write_grid,
 )
 from boxweights.errors import PreconditionError, ZeroMeasureBoxError
-from boxweights._summation import dd_add, dd_box_diffs, dd_prefix_tables, dd_sub_rounded
+from boxweights._summation import dd_add, dd_box_diffs, dd_prefix_tables, dd_sub, dd_sub_rounded
 from boxweights.grids import (
     _parse_float,
     _parse_floats,
@@ -349,6 +349,23 @@ def _exact_box_sum(exact, ranges):
 
 
 class TestBoxDiffs:
+    def test_dd_sub_is_dd_add_of_the_negation(self):
+        # bit for bit, signed zeros included; NaNs may differ in the sign bit
+        special = [0.0, -0.0, 1.0, -1.0, 3.0, 0.1, 1.5, 1.0 + 2.0**-52, 2.0**-53, -(2.0**-53),
+                   5e-324, -5e-324, 1e-300, -1e-300, 1.7e308, -1.7e308, np.inf, -np.inf, np.nan]
+        grid = tuple(np.array(list(itertools.product(special, repeat=4))).T)
+        rng = np.random.default_rng(33)
+        n = 100_000
+        ah = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
+        bh = ah * rng.choice([1.0, -1.0, 0.5, 1.0 + 2.0**-52], n) + rng.choice([0.0, 1e-20, 1.0], n)
+        al, bl = (x * 2.0**-60 * rng.standard_normal(n) for x in (ah, bh))
+        for ah, al, bh, bl in (grid, (ah, al, bh, bl)):
+            with np.errstate(all="ignore"):
+                got, want = dd_sub(ah, al, bh, bl), dd_add(ah, al, -bh, -bl)
+            for x, y in zip(got, want):
+                same = (x.view(np.int64) == y.view(np.int64)) | (np.isnan(x) & np.isnan(y))
+                assert same.all(), np.flatnonzero(~same)[:5]
+
     def test_scan_style_batches_equal_one_box_reductions(self):
         # The scan's bounds: a start and every end on axis 0, every (a, b)
         # pair of each middle axis, the last axis kept, three tables stacked

@@ -19,10 +19,13 @@ from boxweights import (
     segment_max,
 )
 from boxweights._summation import dd_add
+from boxweights.bellman import BellmanCandidate, read_candidate
 from boxweights.characteristics import characteristic, pair_gauge
 from boxweights.errors import InfeasibleSplitError, PreconditionError, ZeroMeasureBoxError
 from boxweights.grids import PrefixTables, uniform_measure
-from boxweights.splitting import TRACE_COLUMNS, segment_maxima, trace_rows
+from boxweights.splitting import TRACE_COLUMNS, ChainReport, segment_maxima, trace_rows
+
+from conftest import FIXTURE_DIR
 
 A = ClassKind.MUCKENHOUPT_A
 P2 = PParam(2.0)
@@ -260,6 +263,26 @@ class TestStepFunctionConvergence:
         assert dists[12] <= 0.02 * avg_w
 
 
+def _per_node_chain(tree, r, candidate):
+    """chain_report as it was when it evaluated the candidate one node at a time."""
+    evaluate = candidate.evaluate if hasattr(candidate, "evaluate") else candidate
+    total = tree.root.mass
+    s_values = []
+    for level_nodes in tree.levels:
+        terms = []
+        for node in level_nodes:
+            try:
+                val = float(evaluate(node.point.x1, node.point.x2))
+            except Exception as exc:
+                raise PreconditionError(
+                    f"candidate evaluation failed at point {tuple(node.point)}: {exc}"
+                ) from exc
+            terms.append(node.mass / total * val)
+        s_values.append(math.fsum(terms))
+    terminal = tree.tables.moment_sum(r, tree.root.box) / total
+    return ChainReport(r=r, s_values=tuple(s_values), terminal_avg_wr=terminal)
+
+
 class TestChainReport:
     def test_linear_candidate_is_conserved(self):
         measure, weight = power_weight_grid(0.5, 2**8)
@@ -289,6 +312,47 @@ class TestChainReport:
         )
         assert rep.s_values[0] >= rep.s_values[-1]
         assert rep.s_values[-1] >= rep.terminal_avg_wr - 1e-6
+
+    def test_level_arrays_equal_per_node_evaluation(self, majorant_r15):
+        power_tree = build_tree(*power_weight_grid(0.5, 2**10), config(Q=4.0 / 3.0, Q1=1.5, c=0.2, levels=6))
+        # a bounded weight: <w><1/w> <= 1.27 keeps every point inside the fixture lattices
+        rng = np.random.default_rng(6)
+        values = np.exp(rng.uniform(math.log(0.6), math.log(1.6), 256))
+        measure = GridMeasure((np.linspace(0.0, 1.0, 257),), np.exp(rng.uniform(-0.2, 0.2, 256)))
+        q = float(values.max() / values.min())
+        bounded_tree = build_tree(measure, WeightGrid(values), config(Q=q, Q1=2.0 * q, levels=6))
+        fixtures = [read_candidate(FIXTURE_DIR / name) for name in ("candidate_ap_p2_r12_Q2.txt", "candidate_control_x13.txt")]
+        runs = [
+            (power_tree, 1.5, majorant_r15[0]),
+            (power_tree, 1.7, lambda x1, x2: x1**1.7),
+            *((tree, r, BellmanCandidate.power(A, P2, r, 2.0)) for tree in (power_tree, bounded_tree) for r in (1.0, 1.3)),
+            (bounded_tree, 1.0, BellmanCandidate.linear(A, P2, 2.0)),
+            *((bounded_tree, cand.r, cand) for cand in fixtures),
+        ]
+        for tree, r, cand in runs:
+            assert repr(chain_report(tree, r, cand)) == repr(_per_node_chain(tree, r, cand))
+
+    def test_failing_level_names_the_first_failing_node(self, majorant_r12):
+        cand, _ = majorant_r12
+        measure, weight = power_weight_grid(0.5, 2**8)
+        tree = build_tree(measure, weight, config(Q=4.0 / 3.0, Q1=1.5, c=0.2, levels=6))
+        known = {node.point.x1 for level in tree.levels[:3] for node in level}
+
+        def picky(x1, x2):
+            # defined at the points of levels 0-2 only: all of level 3 fails
+            unknown = [x for x in np.atleast_1d(x1).tolist() if x not in known]
+            if unknown:
+                raise ValueError(f"undefined at x1={unknown[0]!r}")
+            return x1
+
+        for candidate in (cand, picky):
+            errors = []
+            for report in (chain_report, _per_node_chain):
+                with pytest.raises(PreconditionError) as info:
+                    report(tree, 1.2, candidate)
+                errors.append((str(info.value), repr(info.value.__cause__)))
+            assert errors[0] == errors[1]
+            assert errors[0][0].startswith("candidate evaluation failed at point")
 
     def test_candidate_error_carries_point(self, majorant_r12):
         cand, _ = majorant_r12
