@@ -29,7 +29,8 @@ import numpy as np
 from .characteristics import characteristic, pair_gauge
 from .errors import CandidateDomainError, PreconditionError
 from .exponents import ClassKind, PParam, _as_pparam, r_is_admissible
-from .grids import GridMeasure, PrefixTables, WeightGrid, refine
+from .grids import GridMeasure, PrefixTables, WeightGrid, _atomic_write, _parse_float, _parse_floats
+from .grids import _TokenReader, _wrap_floats, refine
 from .splitting import DEFAULT_SEGMENT_SAMPLES, _samples, segment_maxima
 
 DEFAULT_VERIFY_SEGMENTS = 200
@@ -268,8 +269,6 @@ def tabulate_candidate(
 
 
 def write_candidate(path, cand: BellmanCandidate) -> None:
-    from .grids import _atomic_write, _wrap_floats
-
     table = cand.table
     if table is None:
         raise PreconditionError("only tabulated candidates can be written to a file")
@@ -289,8 +288,6 @@ def write_candidate(path, cand: BellmanCandidate) -> None:
 
 
 def read_candidate(path) -> BellmanCandidate:
-    from .grids import _parse_float, _parse_floats, _TokenReader
-
     tok = _TokenReader(path, "candidate")
     tok.expect("candidate")
     if tok.take()[0] != "1":
@@ -382,9 +379,14 @@ def verify_candidate(
     endpoints, the quarter points and the midpoint of every segment, a, b,
     m.25, m.5, m.75 per segment, then the BOUNDARY_POINTS boundary lattice.
     A CandidateDomainError must name the first point of the call outside
-    the domain; that point is the report's failure_point, and the
-    violations are those found at the points before it.  The report is the
-    one of evaluating the points one at a time in that order.
+    the domain.  That point, or an earlier one where the value is not
+    finite, is the report's failure_point, and the violations are those
+    found at the points before it.  The report is the one of evaluating the
+    points one at a time in that order.
+
+    A PreconditionError refuses, before any draw, an x1_range where x1**r
+    or the x2 of gauge 1 or Q is not a positive double at an end: both are
+    monotone, so the ends bound every point.
     """
     p = region.p
     if not r_is_admissible(region.kind, p, region.Q, r):
@@ -394,6 +396,17 @@ def verify_candidate(
         )
     evaluate = candidate.evaluate if hasattr(candidate, "evaluate") else candidate
     log_lo, log_hi = math.log(x1_range[0]), math.log(x1_range[1])
+    try:  # x1**r and x2_at_gauge are monotone: the ends bound every point
+        ends = [math.exp(log_lo), math.exp(log_hi)]
+        x2_ends = [float(region.x2_at_gauge(x, g)) for x in ends for g in (1.0, region.Q)]
+        ok = all(0.0 < v < math.inf for v in x2_ends + [x**r for x in ends])
+    except ArithmeticError:  # a Python float power or exp that overflows
+        ok = False
+    if not ok:
+        raise PreconditionError(
+            f"x1 range {x1_range} takes x1**{r!r} or the x2 of gauge 1 or Q={region.Q!r} "
+            "beyond the positive doubles; narrow the x1 range"
+        )
     pairs = _sample_segments(region, segments, np.random.default_rng(seed), log_lo, log_hi)
 
     # The points in evaluation order: a, b and the quarter points of each
@@ -411,16 +424,7 @@ def verify_candidate(
     n_seg = 5 * len(pairs)
     values, failure_point = _values_before_failure(evaluate, x1, x2)
 
-    # Growth ratios in Python floats, so that a division by zero or an
-    # overflow raises as one point at a time raises it: there the ratios of
-    # a and b follow the evaluation of both.
-    n = values.size
-    if failure_point is not None and n < n_seg and n % 5 == 1:
-        n -= 1
-    x1_list = x1.tolist()
-    ratios = np.array([v / x**r for v, x in zip(values[:n].tolist(), x1_list)])
-
-    # Points at and after a domain failure are NaN, which no deficit test passes.
+    # Points at and after a failure are NaN, which no deficit test passes.
     seg_values = np.full(n_seg, np.nan)
     seg_values[: min(values.size, n_seg)] = values[:n_seg]
     va, vb, vm = np.split(seg_values.reshape(-1, 5), [1, 2], axis=1)
@@ -439,11 +443,13 @@ def verify_candidate(
         errors = np.abs(values[n_seg:] - np.array([x**r for x in bx1.tolist()]))
         k = _first_max(errors, 0.0)
         boundary_err, boundary_arg = (0.0, math.nan) if k is None else (float(errors[k]), float(bx1[k]))
+        # growth ratios by Python's float power, as one point at a time
+        ratios = np.array([v / x**r for v, x in zip(values.tolist(), x1.tolist())])
         k = _first_max(ratios, -math.inf)
         if k is None:
             c_hat, c_hat_point = -math.inf, (math.nan, math.nan)
         else:
-            c_hat, c_hat_point = float(ratios[k]), (x1_list[k], float(x2[k]))
+            c_hat, c_hat_point = float(ratios[k]), (float(x1[k]), float(x2[k]))
 
     return VerificationReport(
         kind=region.kind,
@@ -470,10 +476,9 @@ def _sample_segments(region, segments, rng, log_lo, log_hi) -> list[tuple[float,
     log_hi)) and then a gauge uniform in [1, Q], with math.exp and
     x2_at_gauge in Python floats; it keeps the segment if segment_max is at
     most Q.  Attempts run in chunks with one segment_maxima call each, which
-    equals segment_max bit for bit.  Each error fires at the attempt where
-    it fires one attempt at a time: the stall past 1000 * segments
-    attempts, segment_max's refusal of a nonpositive coordinate, and an
-    error of a draw (math.exp or x2_at_gauge overflowing).
+    equals segment_max bit for bit.  Past 1000 * segments attempts the
+    sampling stalls, at the attempt where it stalls one attempt at a time.
+    verify_candidate has made sure that every coordinate drawn is positive.
     """
     lows = np.array([log_lo, 1.0, log_lo, 1.0])
     highs = np.array([log_hi, region.Q, log_hi, region.Q])
@@ -486,49 +491,38 @@ def _sample_segments(region, segments, rng, log_lo, log_hi) -> list[tuple[float,
         need = segments - len(pairs)
         # the attempts the rest needs at the acceptance rate so far, and some slack
         size = min(need * (attempts + 1) // (len(pairs) + 1) + 16, SAMPLING_CHUNK, limit - attempts)
-        drawn, error = [], None
+        drawn = []
         for la, ga, lb, gb in rng.uniform(lows, highs, (size, 4)).tolist():
-            try:
-                a1 = math.exp(la)
-                a2 = float(region.x2_at_gauge(a1, ga))
-                b1 = math.exp(lb)
-                b2 = float(region.x2_at_gauge(b1, gb))
-            except ArithmeticError as exc:  # raised below, at its attempt
-                error = exc
-                break
-            drawn.append((a1, a2, b1, b2))
-        if drawn:
-            coords = np.array(drawn).T
-            with np.errstate(all="ignore"):
-                inside = segment_maxima(lam, *coords, region.kind, region.p) <= region.Q
-            refused = np.flatnonzero((coords <= 0.0).any(axis=0))
-            stop = int(refused[0]) if refused.size else len(drawn)
-            kept = np.flatnonzero(inside[:stop])[:need]
-            pairs.extend(drawn[k] for k in kept.tolist())
-            if len(kept) == need:
-                break
-            if refused.size:
-                raise PreconditionError("average points must have positive coordinates")
-        attempts += len(drawn)
-        if error is not None:
-            raise error
+            a1, b1 = math.exp(la), math.exp(lb)
+            drawn.append((a1, float(region.x2_at_gauge(a1, ga)), b1, float(region.x2_at_gauge(b1, gb))))
+        with np.errstate(all="ignore"):
+            inside = segment_maxima(lam, *np.array(drawn).T, region.kind, region.p) <= region.Q
+        pairs.extend(drawn[k] for k in np.flatnonzero(inside)[:need].tolist())
+        attempts += size
     return pairs
 
 
 def _values_before_failure(evaluate, x1, x2):
     """Candidate values at the points before the first one outside its domain.
 
-    Returns the values and the point a CandidateDomainError named, or None.
-    The points before the named one are evaluated again in one call.
+    A point is outside where a CandidateDomainError names it or where the
+    value is not finite.  Returns the values and the first point outside,
+    or None.  The points before a named one are evaluated again in one call.
     """
     n, failure_point = x1.size, None
     while n:
         try:
-            return np.broadcast_to(np.asarray(evaluate(x1[:n], x2[:n]), dtype=np.float64), (n,)), failure_point
+            values = np.broadcast_to(np.asarray(evaluate(x1[:n], x2[:n]), dtype=np.float64), (n,))
         except CandidateDomainError as exc:
             failure_point = exc.point
             named = np.flatnonzero((x1[:n] == exc.point[0]) & (x2[:n] == exc.point[1]))
             n = int(named[0]) if named.size else 0
+            continue
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            n = int(bad[0])
+            return values[:n], (float(x1[n]), float(x2[n]))
+        return values, failure_point
     return np.empty(0), failure_point
 
 

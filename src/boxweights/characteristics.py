@@ -31,21 +31,23 @@ smallest box whose value is +inf, as the oracle does; see _overflow_argmax.
 
 Tile branch and bound
 ---------------------
-The leading axes are reduced to stacks of last-axis prefix columns, one
-column per leading range, each stack (mass, w, w**s2) holding double-double
-entries h + l.  The boxes of a column are its (a, b) pairs, a < b.  A tile of
-side s (a power of two) holds the pairs with a in [i s, (i + 1) s) and b - 1
-in [j s, (j + 1) s), i <= j.  Tiles go from one per column down to leaves
-of _TILE a side, each split into its (up to) four quarters.  Every tile
-evaluates its largest box [a_lo, b_hi) and, off the diagonal, its smallest
-box [a_hi, b_lo) exactly and offers them to the incumbent, then gets the
-bound U below and is dropped when U is below the incumbent; the leaves left
-are screened (below) and evaluated exactly, the tile of the best screen
-first.  Every value is the exact pass's: sums dd_sub_rounded(h_b, l_b, h_a,
-l_a) and _vec_values, as in the exhaustive scan.  Skipped boxes all have
-values below the final supremum, and the tie rule does not depend on the
-order of the offers, so value, argmax and box count are those of the
-exhaustive scan.
+The leading axes, any number, are reduced to stacks of last-axis prefix
+columns, one column per leading range, each stack (mass, w, w**s2) holding
+double-double entries h + l: runs of consecutive leading ranges in
+lexicographic order within a fixed entry budget (in 1-D, the tables), which
+bounds their memory on every axis.  The boxes of a column are its (a, b)
+pairs, a < b.  A tile of side s (a power of two) holds the pairs with a in
+[i s, (i + 1) s) and b - 1 in [j s, (j + 1) s), i <= j.  Tiles go from one
+per column down to leaves of _TILE a side, each split into its (up to) four
+quarters.  Every tile evaluates its largest box [a_lo, b_hi) and, off the
+diagonal, its smallest box [a_hi, b_lo) exactly and offers them to the
+incumbent, then gets the bound U below and is dropped when U is below the
+incumbent; the leaves left are screened (below) and evaluated exactly, the
+tile of the best screen first.  Every value is the exact pass's: sums
+dd_sub_rounded(h_b, l_b, h_a, l_a) and _vec_values, as in the exhaustive
+scan.  Skipped boxes all have values below the final supremum, and the tie
+rule does not depend on the order of the offers, so value, argmax and box
+count are those of the exhaustive scan.
 A box counts when its mass is positive: b lies past the first positive-mass
 cell at or after a, which _positive_boxes counts without enumeration.
 
@@ -123,7 +125,8 @@ class CharacteristicReport:
     changes value, argmax_box or boxes_scanned: they equal those of the
     exhaustive exact scan.  exact_boxes counts the boxes of the leaf tiles
     evaluated in double-double (not the tile corners the bounds read); it is
-    a diagnostic and enters no CSV.
+    a diagnostic, enters no CSV, and can change with the stack layout, which
+    orders the offers to the incumbent.
     """
 
     kind: ClassKind
@@ -266,13 +269,15 @@ def q_scan(measure, weight, kind: ClassKind, q_list, tables=None) -> list[ScanEn
 
 # Leaf tiles are _TILE x _TILE (a, b) pairs of one leading range; a batch
 # of leaves holds about _LEAF_BLOCK box values, and a bounding step at most
-# _TILE_CHUNK tiles.  The n-D stacks hold the leading ranges of as many
-# first-axis starts as keep them within _STACK_BLOCK prefix entries per
-# table.  Each keeps its arrays near 100 KB.
+# _TILE_CHUNK tiles.  A stack holds at most _STACK_BLOCK prefix entries per
+# table (or one column), about 800 KB whatever the number of axes.  Reducing
+# _REDUCE_BLOCK entries at a time keeps the temporaries near 50 KB: in cache,
+# and reused by the allocator instead of faulted in afresh for every stack.
 _TILE = 8
 _LEAF_BLOCK = 1 << 12
 _TILE_CHUNK = 1 << 9
-_STACK_BLOCK = 1 << 12
+_STACK_BLOCK = 1 << 14
+_REDUCE_BLOCK = 1 << 11
 # Unit roundoff, and the relative error allowed for np.power: 2**-44 is
 # 256 ulp, far above glibc's < 1 ulp and the 4 ulp of vectorised pow kernels.
 _U = 2.0**-53
@@ -313,7 +318,7 @@ class _Incumbent:
         self.box = None
 
     def offer(self, vals, k, a, b, lead):
-        """Take the maximum of ``vals``, the values of the boxes (lead[k], (a, b)).
+        """Take the maximum of ``vals``, the values of the boxes (lead(k), (a, b)).
 
         k, a and b broadcast with vals.  A value replaces the incumbent when
         it is larger, or equal with a lexicographically smaller box, so the
@@ -327,13 +332,13 @@ class _Incumbent:
         if v < self.value or (v == self.value and self.box is None):
             return
         # a tie wins only with a smaller box; no box here is below this one
-        if v == self.value and lead[int(np.min(k))] + ((int(np.min(a)), int(np.min(b))),) >= self.box:
+        if v == self.value and lead(int(np.min(k))) + ((int(np.min(a)), int(np.min(b))),) >= self.box:
             return
         # (k, a, b) in lexicographic order as one integer; a, b <= n < span
         span = int(np.max(b)) + 1
         key = int(((k * span + a) * span + b)[vals == v].min())
         (k, a), b = divmod(key // span, span), key % span
-        box = lead[k] + ((a, b),)
+        box = lead(k) + ((a, b),)
         if v > self.value or box < self.box:
             self.value, self.box = v, box
 
@@ -355,40 +360,53 @@ def _scan(tables, kind, q, s2):
 
 
 def _stacks(HL):
-    """Stacks (2, 3, n + 1, K) of last-axis prefix columns, and their K leading ranges.
+    """Stacks (2, 3, n + 1, K) of last-axis prefix columns, each with lead(k), the ranges of column k.
 
-    The 1-D tables are one column.  In n-D the leading ranges are those of
-    consecutive first-axis starts a1, as many as keep a stack within
-    _STACK_BLOCK entries per table, in lexicographic order; one
-    dd_box_diffs call reduces the columns of each start, which bounds the
-    temporaries.
+    Column g is the g-th leading range in lexicographic order: its pair on
+    leading axis j is digit j of g in the mixed radix of the per-axis pair
+    counts.  A stack is a run of columns within _STACK_BLOCK entries per
+    table (at least one), reduced by _columns _REDUCE_BLOCK entries at a
+    time; a stack of one such run is that run, in 1-D a view of the tables.
     """
-    ext = HL.shape[2:]
-    if len(ext) == 1:
-        yield HL[..., None], [()]
-        return
-    pairs = [np.triu_indices(n, k=1) for n in ext[1:-1]]
-    middle = [()]
-    for ia, ib in pairs:
-        middle = [r + ((a, b),) for r in middle for a, b in zip(ia.tolist(), ib.tolist())]
-    # columns of first-axis start a1
-    width = [(ext[0] - a1 - 1) * len(middle) for a1 in range(ext[0] - 1)]
-    group = []
-    for a1 in range(ext[0] - 1):
-        group.append(a1)
-        if a1 + 1 < len(width) and sum(width[group[0] : a1 + 2]) * ext[-1] <= _STACK_BLOCK:
-            continue
-        lead = [((a, b1),) + r for a in group for b1 in range(a + 1, ext[0]) for r in middle]
-        hl = np.empty((2, 3, ext[-1], len(lead)))
-        col = 0
-        for a in group:
-            # rows [a, b1) for every b1, then every (a, b) pair of each middle axis
-            h, l = dd_box_diffs(HL[0], HL[1], (None, (a, np.arange(a + 1, ext[0])), *pairs))
-            for dst, src in zip(hl, (h, l)):
-                dst[:, :, col : col + width[a]] = src.reshape(3, width[a], ext[-1]).transpose(0, 2, 1)
-            col += width[a]
-        group = []
+    pairs = [np.triu_indices(n, k=1) for n in HL.shape[2:-1]]
+    radix = [len(ia) for ia, _ in pairs]
+    cols, last = math.prod(radix), HL.shape[-1]
+    per, step = (max(1, block // last) for block in (_STACK_BLOCK, _REDUCE_BLOCK))
+    for g0 in range(0, cols, per):
+        g1 = min(g0 + per, cols)
+        if g1 - g0 <= step:
+            hl = np.ascontiguousarray(_columns(HL, pairs, g0, g1).transpose(0, 1, 3, 2))
+        else:
+            hl = np.empty((2, 3, last, g1 - g0))
+            for c0 in range(g0, g1, step):
+                c1 = min(c0 + step, g1)
+                hl[..., c0 - g0 : c1 - g0] = _columns(HL, pairs, c0, c1).transpose(0, 1, 3, 2)
+
+        def lead(k, g0=g0):
+            return tuple((int(ia[d]), int(ib[d])) for (ia, ib), d in zip(pairs, np.unravel_index(g0 + k, radix)))
+
         yield hl, lead
+
+
+def _columns(HL, pairs, g0, g1):
+    """Prefix columns (2, 3, g1 - g0, n + 1) of the leading ranges g0 to g1 - 1 (see _stacks).
+
+    Axis 0 first, each leading axis is reduced once per distinct range prefix
+    of the run by one dd_box_diffs call on the tables viewed as (3, prefixes
+    x extent, ...): every column gets the dd_sub sequence of its one-box
+    reduction."""
+    hl, below, first = HL[:, :, None], math.prod(len(ia) for ia, _ in pairs), 0
+    for ia, ib in pairs:
+        r, n = len(ia), hl.shape[3]
+        below //= r
+        prefix = np.arange(g0 // below, (g1 - 1) // below + 1)
+        parent, digit = divmod(prefix, r)
+        # entries a and b of this axis under each parent, on the (parents x extent) axis
+        row = (parent - first) * n
+        flat = hl.reshape(2, 3, -1, *hl.shape[4:])
+        hl = np.stack(dd_box_diffs(flat[0], flat[1], (None, (row + ia[digit], row + ib[digit]))))
+        first = prefix[0]
+    return hl
 
 
 class _Stack:

@@ -1,7 +1,7 @@
 """Grid-discretized measures and weights with exact box sums.
 
-A measure is a nonnegative mass per cell of a tensor-product lattice (1 to 3
-axes, strictly increasing breakpoints per axis).  Placing all mass strictly
+A measure is a nonnegative mass per cell of a tensor-product lattice (one
+or more axes, strictly increasing breakpoints per axis).  Placing all mass strictly
 inside cells makes every coordinate hyperplane through a breakpoint null, so
 box splitting at breakpoints never cuts through an atom.  Weights are
 strictly positive cell-constant values on the same lattice; continuum
@@ -33,8 +33,6 @@ import numpy as np
 from ._summation import dd_box_diffs, dd_prefix_tables, dd_sub_rounded
 from .errors import PreconditionError, ZeroMeasureBoxError
 
-MAX_DIM = 3
-
 
 def first_cell(mask: np.ndarray):
     """Index tuple of the row-major first True cell of ``mask``, or None."""
@@ -65,13 +63,6 @@ class BoxIdx:
     def ndim(self) -> int:
         return len(self.ranges)
 
-    @property
-    def cell_count(self) -> int:
-        n = 1
-        for a, b in self.ranges:
-            n *= b - a
-        return n
-
     def as_slices(self) -> tuple[slice, ...]:
         return tuple(slice(a, b) for a, b in self.ranges)
 
@@ -100,10 +91,8 @@ class GridMeasure:
     def __post_init__(self):
         bps = tuple(np.asarray(b, dtype=np.float64) for b in self.breakpoints)
         mass = np.asarray(self.mass, dtype=np.float64)
-        if not 1 <= len(bps) <= MAX_DIM:
-            raise PreconditionError(
-                f"dimension must be between 1 and {MAX_DIM}, got {len(bps)}"
-            )
+        if not bps:
+            raise PreconditionError("a measure needs at least one axis")
         if mass.ndim != len(bps):
             raise PreconditionError(
                 f"mass array has {mass.ndim} axes, expected {len(bps)}"

@@ -100,10 +100,6 @@ class SplitNode:
     segment_psi_max: float | None = None
     children: tuple = ()
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 @dataclass
 class SplitTree:

@@ -12,14 +12,19 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
 
 
-def load_fixture_script():
-    """Import scripts/make_bellman_fixture.py as a module."""
-    path = REPO_ROOT / "scripts" / "make_bellman_fixture.py"
-    spec = importlib.util.spec_from_file_location("make_bellman_fixture", path)
+def load_repo_module(relpath):
+    """Import a file of the repository outside the package, such as a script, as a module."""
+    path = REPO_ROOT / relpath
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault("make_bellman_fixture", module)
+    sys.modules.setdefault(path.stem, module)
     spec.loader.exec_module(module)
     return module
+
+
+def load_fixture_script():
+    """Import scripts/make_bellman_fixture.py as a module."""
+    return load_repo_module("scripts/make_bellman_fixture.py")
 
 
 @pytest.fixture(scope="session")

@@ -327,55 +327,62 @@ class TestBatchedVerifier:
         assert [v.lam for v in got.violations] == [0.25, 0.5, 0.75] * 3 + [0.25]
         assert got.violations[-1].x_a == queried[15]
 
-    def test_growth_errors_follow_the_evaluation_order(self):
-        # x1**1.2 underflows to 0 near x1 = 1e-300, so every growth ratio
-        # divides by zero; one point at a time, a segment's endpoint ratios
-        # come after b is evaluated, so a domain failure at b wins.
+    def test_first_non_finite_value_fails_like_a_domain_error(self):
         region = AveragePairRegion(A, P2, 2.0)
-        linear = BellmanCandidate.linear(A, P2, 2.0)
-        queried = []
+        got = verify_candidate(region, lambda x1, x2: np.where(x1 > 1, np.nan, x1), 1.0)
+        assert not got.verdict and got.failure_point[0] > 1 and got.c_hat == math.inf
+        # x1**1.3 violates concavity: the violations before the failure stay
+        power = BellmanCandidate.power(A, P2, 1.3, 2.0)
+        for bad in (np.nan, np.inf, -np.inf):
 
-        def recording(x1, x2):
-            queried.append((x1, x2))
-            return linear.evaluate(x1, x2)
+            def partial(x1, x2):
+                return np.where(np.asarray(x1) > 8.0, bad, power.evaluate(x1, x2))
 
-        kwargs = dict(segments=5, seed=1, x1_range=(1e-300, 1e-299))
-        want = _outcome(_sequential_verify, region, recording, 1.2, **kwargs)
-        assert want == "ZeroDivisionError: float division by zero"
-        assert _outcome(verify_candidate, region, linear, 1.2, **kwargs) == want
-        hole = queried[1]
+            def holed(x1, x2):
+                b1, b2 = (x.reshape(-1) for x in np.broadcast_arrays(x1, x2))
+                if np.any(b1 > 8.0):
+                    k = int(np.argmax(b1 > 8.0))
+                    raise CandidateDomainError((float(b1[k]), float(b2[k])))
+                return power.evaluate(x1, x2)
 
-        def holed(x1, x2):
-            b1, b2 = np.broadcast_arrays(x1, x2)
-            if np.any((b1 == hole[0]) & (b2 == hole[1])):
-                raise CandidateDomainError(hole)
-            return linear.evaluate(x1, x2)
+            got = verify_candidate(region, partial, 1.3, segments=40, seed=2)
+            assert repr(got) == repr(_sequential_verify(region, holed, 1.3, segments=40, seed=2))
+            assert got.violations and not got.verdict and got.failure_point[0] > 8.0
 
-        want = _outcome(_sequential_verify, region, holed, 1.2, **kwargs)
-        assert "failure_point=" + repr(hole) in want
-        assert _outcome(verify_candidate, region, holed, 1.2, **kwargs) == want
-
-    def test_sampling_errors_fire_at_the_same_attempt(self):
-        outcomes = []
+    def test_sampling_box_beyond_the_doubles_is_refused_before_any_draw(self):
         cases = [
             # x2 = (g*x1)**2 underflows to 0 for x1 near 1e-163
-            *((RH, 2.0, 2.0, (1e-163, 1e-150), n) for n in (1, 2, 3)),
-            # x2_at_gauge overflows for small x1
-            (A, 1.01, 1.5, (1e-3, 1.0), 3),
-            # no segment fits a band this thin
-            (A, 2.0, 1.0 + 1e-12, (1e-3, 1e3), 2),
+            (RH, 2.0, 2.0, (1e-163, 1e-150), 1.0),
+            # x2 = (g/x1)**100 overflows for small x1
+            (A, 1.01, 1.5, (1e-3, 1.0), 1.0),
+            # x1**1.2 underflows to 0
+            (A, 2.0, 2.0, (1e-300, 1e-299), 1.2),
         ]
-        for kind, p, Q, x1_range, segments in cases:
+        for kind, p, Q, x1_range, r in cases:
             region = AveragePairRegion(kind, p, Q)
-            cand = BellmanCandidate.linear(kind, p, Q)
-            for seed in range(6 if segments > 2 else 3):
-                args = (region, cand, 1.0)
-                kwargs = dict(segments=segments, seed=seed, x1_range=x1_range)
-                want = _outcome(_sequential_verify, *args, **kwargs)
-                assert _outcome(verify_candidate, *args, **kwargs) == want, (kind, p, Q, x1_range, segments, seed)
-                outcomes.append(want)
-        for text in ("VerificationReport(", "must have positive coordinates", "OverflowError", "stalled"):
-            assert any(text in o for o in outcomes), text
+            drawn = []
+
+            def recording(x1, x2):
+                drawn.append(x1)
+                return x1
+
+            for segments in (1, 3):
+                with pytest.raises(PreconditionError, match="narrow the x1 range"):
+                    verify_candidate(region, recording, r, segments=segments, x1_range=x1_range)
+            assert not drawn
+        code = main(["bellman-verify", "--class", "ap", "--p", "1.01", "--Q", "1.5",
+                     "--candidate", "builtin:linear", "--x1-range", "0.001,1"])
+        assert code == 2
+
+    def test_stall_fires_at_the_same_attempt(self):
+        # no segment fits a band this thin
+        region = AveragePairRegion(A, 2.0, 1.0 + 1e-12)
+        cand = BellmanCandidate.linear(A, 2.0, 1.0 + 1e-12)
+        for seed in range(3):
+            kwargs = dict(segments=2, seed=seed, x1_range=(1e-3, 1e3))
+            want = _outcome(_sequential_verify, region, cand, 1.0, **kwargs)
+            assert "stalled" in want
+            assert _outcome(verify_candidate, region, cand, 1.0, **kwargs) == want
 
 
 class TestCandidateArrays:

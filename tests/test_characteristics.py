@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,7 @@ from boxweights.characteristics import second_moment_exponent
 from boxweights.errors import PreconditionError
 from boxweights.grids import power_weight_grid, uniform_measure
 
-from conftest import random_pair
+from conftest import load_repo_module, random_pair
 
 A = ClassKind.MUCKENHOUPT_A
 RH = ClassKind.REVERSE_HOLDER
@@ -375,6 +376,71 @@ class TestOracleEquivalence:
         assert report.value == value
         assert report.argmax_box == box
         assert report.boxes_scanned == count
+
+
+class TestAnyDimension:
+    @pytest.mark.parametrize("ndim", [4, 5])
+    def test_seeded_grids_equal_the_oracle(self, ndim):
+        rng = np.random.default_rng(ndim)
+        for trial in range(15):
+            shape = tuple(int(m) for m in rng.integers(1, 4, ndim))
+            bps = tuple(np.linspace(0, 1, m + 1) for m in shape)
+            mass = np.where(rng.random(shape) < 0.25, 0.0, rng.uniform(0.1, 1.0, shape))
+            mass.flat[-1] = 1.0
+            # weights in {1, 2, 3}: many boxes tie at the max
+            values = rng.integers(1, 4, shape).astype(float) if trial % 2 else rng.uniform(0.5, 2.0, shape)
+            measure, weight = GridMeasure(bps, mass), WeightGrid(values)
+            for kind, q in ((A, 1.7), (RH, 2.3)):
+                report = characteristic(measure, weight, kind, q)
+                want = naive_characteristic(measure, weight, kind, q)
+                assert (report.value, report.argmax_box, report.boxes_scanned) == want, (ndim, trial, kind)
+
+    def test_product_of_power_weights_factors(self):
+        oracles = load_repo_module("benchmark/oracles.py")
+        m1, w1 = power_weight_grid(0.5, 6)
+        one = characteristic(m1, w1, A, 1.6).value
+        measure = GridMeasure(m1.breakpoints * 4, np.einsum("i,j,k,l->ijkl", *[m1.mass] * 4))
+        weight = WeightGrid(np.einsum("i,j,k,l->ijkl", *[w1.values] * 4))
+        report = characteristic(measure, weight, A, 1.6)
+        assert abs(report.value - one**4) <= oracles.product_tolerance("ap", 1.6, 4) * one**4
+        assert report.argmax_box == BoxIdx(characteristic(m1, w1, A, 1.6).argmax_box.ranges * 4)
+
+    @pytest.mark.parametrize("kind, q", [(A, 1.6), (RH, 2.5)])
+    def test_weight_of_one_coordinate_has_the_one_dimensional_value(self, kind, q):
+        oracles = load_repo_module("benchmark/oracles.py")
+        w = np.exp(np.random.default_rng(8).normal(0.0, 1.0, 8))
+        # cell masses 1/8 and 1/128 are powers of two, so the moment cells
+        # differ by a power of two and each value rounds three exact sums
+        one = characteristic(uniform_measure(8), WeightGrid(w), kind, q).value
+        shape = (2, 8, 4, 2)
+        weight = WeightGrid(np.broadcast_to(w[None, :, None, None], shape))
+        value = characteristic(uniform_measure(shape), weight, kind, q).value
+        assert abs(value - one) <= oracles.product_tolerance(kind.value, q, 1) * one
+
+
+class TestStackMemory:
+    """The scan holds one stack of bounded size at a time, and reads the 1-D tables in place."""
+
+    @staticmethod
+    def _peak(*args):
+        tracemalloc.start()
+        try:
+            characteristic(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("shape", [(6,) * 5, (24,) * 3])
+    def test_scans_peak_below_16_mib(self, shape):
+        weight = WeightGrid(np.exp(np.random.default_rng(3).normal(0.0, 1.0, shape)))
+        assert self._peak(uniform_measure(shape), weight, A, 2.0) < 16 * 2**20
+
+    def test_1d_scan_reads_the_tables_in_place(self):
+        measure, weight = power_weight_grid(0.5, 2**18)
+        tables = PrefixTables(measure, weight, (1.0, second_moment_exponent(A, 1.6)))
+        # The scan's own arrays peak at 26.75 MiB; a copy of the six
+        # 2 MiB tables into a stack would add 12 MiB.
+        assert self._peak(measure, weight, A, 1.6, tables) <= 26.8 * 2**20
 
 
 class TestSecondMomentExponent:

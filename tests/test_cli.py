@@ -101,9 +101,9 @@ class TestCharacteristicCommand:
         fields = dict(kv.split("=") for kv in out.split())
         assert float(fields["value"]) == pytest.approx(2.0 / math.sqrt(3.0), rel=0.01)
 
-    def test_three_dimensional_grid(self, capsys, tmp_path):
+    @pytest.mark.parametrize("shape", [(3, 4, 2), (2, 3, 1, 3)])
+    def test_multi_dimensional_grid(self, capsys, tmp_path, shape):
         rng = np.random.default_rng(41)
-        shape = (3, 4, 2)
         bps = tuple(np.sort(rng.uniform(0.0, 1.0, m + 1)) for m in shape)
         measure = GridMeasure(bps, rng.uniform(0.1, 1.0, shape))
         weight = WeightGrid(rng.uniform(0.5, 3.0, shape))

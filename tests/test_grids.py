@@ -65,10 +65,11 @@ class TestValidate:
         with pytest.raises(PreconditionError, match="total mass"):
             GridMeasure((np.linspace(0, 1, 3),), np.zeros(2))
 
-    def test_dimension_cap(self):
+    def test_any_number_of_axes_but_none(self):
+        with pytest.raises(PreconditionError, match="at least one axis"):
+            GridMeasure((), np.ones(()))
         bps = tuple(np.linspace(0, 1, 3) for _ in range(4))
-        with pytest.raises(PreconditionError, match="dimension"):
-            GridMeasure(bps, np.ones((2, 2, 2, 2)))
+        assert GridMeasure(bps, np.ones((2, 2, 2, 2))).ndim == 4
 
     def test_arrays_frozen(self, uniform4):
         measure, weight = uniform4
@@ -610,12 +611,14 @@ class TestGridFiles:
         toks = ["0.5", token, "2"]
         assert outcome(lambda: _parse_floats(toks).tolist()) == outcome(lambda: map(_parse_float, toks))
 
-    def test_round_trip_exact(self, tmp_path):
+    @pytest.mark.parametrize("ndim", [2, 4])
+    def test_round_trip_exact(self, tmp_path, ndim):
         rng = np.random.default_rng(5)
-        measure, weight = random_pair(rng, max_cells=6, ndim_choices=(2,))
+        measure, weight = random_pair(rng, max_cells=6 if ndim == 2 else 3, ndim_choices=(ndim,))
         path = tmp_path / "grid.txt"
         write_grid(path, measure, weight)
         m2, w2 = read_grid(path)
+        assert len(m2.breakpoints) == ndim
         for a, b in zip(measure.breakpoints, m2.breakpoints):
             assert np.array_equal(a, b)
         assert np.array_equal(measure.mass, m2.mass)

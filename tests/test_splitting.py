@@ -227,6 +227,17 @@ class TestBuildTree:
         assert all(b < a for a, b in zip(diams, diams[1:]))
         assert diams[12] <= 0.15 * tree.root.diameter
 
+    def test_4d_tree_cycles_the_axes(self):
+        measure = uniform_measure((4, 4, 4, 4))
+        weight = WeightGrid(np.random.default_rng(4).uniform(0.9, 1.1, (4, 4, 4, 4)))
+        bound = characteristic(measure, weight, A, 2.0).value
+        tree = build_tree(measure, weight, config(Q=bound * 1.0001, Q1=bound * 1.05, c=0.2, levels=6))
+        assert [len(level) for level in tree.levels] == [1, 2, 4, 8, 16, 32, 64]
+        assert [tree.levels[lv][0].axis for lv in range(6)] == [0, 1, 2, 3, 0, 1]
+        # the leaves tile the 256 cells
+        assert sum(math.prod(b - a for a, b in n.box.ranges) for n in tree.leaves()) == 4**4
+        assert math.fsum(n.mass for n in tree.leaves()) == pytest.approx(tree.root.mass, rel=1e-12)
+
     def test_infeasible_node_reports_path(self):
         # a dominant cell deep in the grid defeats the ratio window
         mass = np.full(8, 1e-4)
