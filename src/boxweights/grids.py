@@ -1,9 +1,9 @@
 """Grid-discretized measures and weights with exact box sums.
 
 A measure is a nonnegative mass per cell of a tensor-product lattice (one
-or more axes, strictly increasing breakpoints per axis).  Placing all mass strictly
-inside cells makes every coordinate hyperplane through a breakpoint null, so
-box splitting at breakpoints never cuts through an atom.  Weights are
+or more axes, strictly increasing breakpoints per axis).  Placing all mass
+strictly inside cells makes every coordinate hyperplane through a breakpoint
+null, so box splitting at breakpoints never cuts through an atom.  Weights are
 strictly positive cell-constant values on the same lattice; continuum
 weights enter only through exact cell averaging at generation time.
 
