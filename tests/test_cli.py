@@ -1,5 +1,7 @@
 import inspect
 import math
+import shlex
+import shutil
 
 import numpy as np
 import pytest
@@ -244,6 +246,31 @@ class TestSplitCommand:
         ratios = {r.split(",")[4] for r in body if r.split(",")[4]}
         assert ratios == {"0.5"}
 
+    def test_trace_rows_cover_all_nodes(self, capsys, tmp_path):
+        # one row per node, breadth first; leaves leave axis, breakpoint,
+        # ratio and segment_max empty
+        grid = tmp_path / "u.txt"
+        write_grid(grid, uniform_measure(8), WeightGrid(np.ones(8)))
+        trace = tmp_path / "trace.csv"
+        code, _, _ = run(
+            capsys,
+            "split", "--class", "ap", "--p", "2", "--grid", str(grid),
+            "--Q", "1.0001", "--Q1", "1.05", "--levels", "3", "--trace", str(trace),
+        )
+        assert code == 0
+        lines = [l for l in trace.read_text().splitlines() if not l.startswith("#")]
+        assert lines[0] == "level,box,axis,breakpoint,ratio,x1,x2,segment_max,diameter"
+        rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+        assert len(rows) == 2**4 - 1
+        assert [r["level"] for r in rows] == ["0"] + ["1"] * 2 + ["2"] * 4 + ["3"] * 8
+        leaf_rows = [r for r in rows if r["axis"] == ""]
+        assert len(leaf_rows) == 8
+        assert all(r["level"] == "3" for r in leaf_rows)
+        for r in leaf_rows:
+            assert r["breakpoint"] == r["ratio"] == r["segment_max"] == ""
+            assert r["x1"] and r["x2"] and r["diameter"]
+        assert rows[0]["box"] == "0:8" and rows[0]["breakpoint"] == "0.5"
+
     def test_infeasible_exit_code(self, capsys, tmp_path):
         grid = tmp_path / "skew.txt"
         measure = GridMeasure(
@@ -366,6 +393,20 @@ class TestConclusionCheckCommand:
 
 
 class TestExportCsv:
+    def test_cell_table(self, capsys, tmp_path):
+        # one row per cell: index and bounds per axis, then mass and value
+        grid = tmp_path / "g.txt"
+        write_grid(grid, *power_weight_grid(1.0, 4))
+        out_csv = tmp_path / "g.csv"
+        code, out, _ = run(capsys, "export-csv", "--grid", str(grid), "--out", str(out_csv))
+        assert code == 0
+        assert out == f"wrote {out_csv}\n"
+        lines = out_csv.read_text().splitlines()
+        assert lines[:2] == ["# boxweights 0.1.0", f"# param grid={grid}"]
+        assert lines[2] == "i0,lo0,hi0,mass,value"
+        assert len(lines) == 7
+        assert lines[3] == "0,0.0,0.25,0.25,0.125"
+
     def test_round_trip(self, capsys, tmp_path):
         grid = tmp_path / "g.txt"
         run(capsys, "make-grid", "--generator", "power", "--alpha", "1",
@@ -379,3 +420,26 @@ class TestExportCsv:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "export-csv", "--grid", "/no/such/file", "--out", "/tmp/x.csv")
         assert code == 2
+
+
+# Golden outputs of grids of more than one axis, written by the CLI before
+# every output went through one writer.  Each command runs in a fresh
+# directory holding the two grid files, with the same relative paths.
+MULTI_AXIS = FIXTURE_DIR / "multi_axis"
+MULTI_AXIS_COMMANDS = {
+    "export-csv-2d": ("export-csv --grid grid2d.txt --out cells2d.csv", "cells2d.csv"),
+    "export-csv-3d": ("export-csv --grid grid3d.txt --out cells3d.csv", "cells3d.csv"),
+    "split-2d": ("split --class ap --p 2 --grid grid2d.txt --levels 3 --trace trace2d.csv", "trace2d.csv"),
+    "characteristic-3d": ("characteristic --class rh --p 1.5 --grid grid3d.txt --csv char3d.csv", "char3d.csv"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_AXIS_COMMANDS))
+def test_multi_axis_outputs_are_byte_identical(name, tmp_path, monkeypatch, capsys):
+    command, written = MULTI_AXIS_COMMANDS[name]
+    for grid in ("grid2d.txt", "grid3d.txt"):
+        shutil.copy(MULTI_AXIS / grid, tmp_path / grid)
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(command)) == 0
+    assert capsys.readouterr().out == (MULTI_AXIS / f"{name}.stdout").read_text()
+    assert (tmp_path / written).read_bytes() == (MULTI_AXIS / written).read_bytes()
