@@ -184,7 +184,7 @@ def characteristic(
     # (0, ..., 0) there are none, and only the mass table, whose zero sums
     # decide the box count, has to be exact.
     exact_tables = (None,) if bad and not any(min(bad)) else (None, 1.0, s2)
-    tables.certify(max(exact_tables, key=tables.precision_margin))
+    tables.certify(*exact_tables)
     value, box, count, exact = _scan(tables, kind, q, s2)
     if bad:
         value, box = math.inf, _overflow_argmax(tables, kind, q, s2, min(bad), value, box)
@@ -525,7 +525,6 @@ def _leaves(stack, lead, kind, q, best, k, i, j, bound):
         per = max(1, _LEAF_BLOCK // (len(ra) if on else leaf * leaf))
         # screen starts as the tile bound and is lowered where a screen is proven
         kk, a_lo, b_lo, screen = k[sel], i[sel] * leaf, j[sel] * leaf + 1, bound[sel]
-        boxes_per_tile = _box_count(n, leaf, a_lo, b_lo)
 
         def boxes(t):
             # Past the last cell a reads n and b reads 0: such boxes, like
@@ -554,14 +553,8 @@ def _leaves(stack, lead, kind, q, best, k, i, j, bound):
                 continue
             c, a, b = boxes(t)
             best.offer(_vec_values(kind, q, *stack.sums(c, a, b)), c, a, b, lead)
-            exact += int(boxes_per_tile[t].sum())
+            exact += int(np.count_nonzero(b > a))
     return exact
-
-
-def _box_count(n, leaf, a_lo, b_lo):
-    """Boxes of each leaf tile from [a_lo, b_lo): rows x columns off the diagonal, a triangle on it."""
-    rows, width = np.minimum(a_lo + leaf, n) - a_lo, np.minimum(b_lo - 1 + leaf, n) - b_lo + 1
-    return np.where(b_lo - a_lo == 1, rows * (rows + 1) // 2, rows * width)
 
 
 def _positive_boxes(positive):

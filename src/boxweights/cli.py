@@ -4,7 +4,9 @@ Subcommands: exponents, characteristic, sharpness, split, bellman-verify,
 conclusion-check, make-grid, export-csv.  All tabular output is CSV with a
 leading comment block carrying the tool version and the full parameter set,
 so identical invocations produce byte-identical files.  Files are written
-atomically (temp file + rename).
+atomically (temp file + rename).  Subcommands put raw values in their rows;
+_write_csv writes every CSV and _print_row every key=value line, both
+through the one value formatter _text.
 
 Exit codes: 0 success, 2 precondition violation, 3 numeric failure,
 4 infeasible split.
@@ -42,7 +44,6 @@ from .errors import (
 from .exponents import Branch, ClassKind, PParam, extremal_alpha, sharp_range
 from .grids import (
     PrefixTables,
-    export_cells_csv,
     power_weight_grid,
     read_grid,
     uniform_measure,
@@ -54,10 +55,7 @@ from .splitting import (
     DEFAULT_RATIO_C,
     DEFAULT_SEGMENT_SAMPLES,
     SplitConfig,
-    TRACE_COLUMNS,
     build_tree,
-    chain_report,
-    trace_rows,
 )
 
 #: Central defaults shared by the CLI and documented in the README.
@@ -78,27 +76,31 @@ DEFAULTS = {
 }
 
 
-def _kind(text: str) -> ClassKind:
-    return ClassKind(text)
+def _text(value) -> str:
+    """A value as CSV and stdout write it: None empty, a float its repr, anything else str.
 
-
-def _header_lines(params: dict) -> list[str]:
-    lines = [f"# boxweights {__version__}"]
-    for key in sorted(params):
-        lines.append(f"# param {key}={params[key]}")
-    return lines
+    repr(float(v)), not repr(v): numpy 2 scalars repr as np.float64(...).
+    """
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
 
 
 def _write_csv(path, params: dict, columns, rows) -> None:
-    buf = _header_lines(params)
+    """Version and sorted ``# param`` lines, the column header, one line per row dict."""
+    buf = [f"# boxweights {__version__}"]
+    buf.extend(f"# param {key}={_text(params[key])}" for key in sorted(params))
     buf.append(",".join(columns))
     for row in rows:
-        buf.append(",".join(str(row.get(c, "")) for c in columns))
+        buf.append(",".join(map(_text, map(row.get, columns))))
     _atomic_write(path, "\n".join(buf) + "\n")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _print_row(row: dict) -> None:
+    """The row of a one-row CSV as key=value pairs on stdout."""
+    print(" ".join(f"{key}={_text(value)}" for key, value in row.items()))
 
 
 # ----------------------------------------------------------------------
@@ -106,16 +108,11 @@ def _fmt(x: float) -> str:
 # ----------------------------------------------------------------------
 
 
-def _print_row(row: dict) -> None:
-    """The row of a one-row CSV as key=value pairs on stdout."""
-    print(" ".join(f"{key}={value}" for key, value in row.items()))
-
-
 def cmd_exponents(args) -> int:
-    rng = sharp_range(_kind(args.klass), PParam(args.p), args.Q)
-    row = {"class": args.klass, "p": _fmt(args.p), "Q": _fmt(args.Q)}
+    rng = sharp_range(ClassKind(args.klass), PParam(args.p), args.Q)
+    row = {"class": args.klass, "p": args.p, "Q": args.Q}
     for name in ("s_minus", "s_plus", "a_lower", "rh_upper"):
-        row[name] = _fmt(getattr(rng, name))
+        row[name] = getattr(rng, name)
     _print_row(row)
     if args.csv:
         params = {"command": "exponents", "class": args.klass, "p": args.p, "Q": args.Q}
@@ -125,12 +122,12 @@ def cmd_exponents(args) -> int:
 
 def cmd_characteristic(args) -> int:
     measure, weight = read_grid(args.grid)
-    report = characteristic(measure, weight, _kind(args.klass), args.p)
+    report = characteristic(measure, weight, ClassKind(args.klass), args.p)
     row = {
         "class": args.klass,
-        "q": _fmt(args.p),
-        "value": _fmt(report.value),
-        "argmax": str(report.argmax_box),
+        "q": args.p,
+        "value": report.value,
+        "argmax": report.argmax_box,
         "boxes_scanned": report.boxes_scanned,
     }
     _print_row(row)
@@ -141,7 +138,7 @@ def cmd_characteristic(args) -> int:
 
 
 def cmd_sharpness(args) -> int:
-    kind = _kind(args.klass)
+    kind = ClassKind(args.klass)
     side = Branch(args.side)
     p = PParam(args.p)
     rng = sharp_range(kind, p, args.Q)
@@ -165,10 +162,10 @@ def cmd_sharpness(args) -> int:
         rows.append(
             {
                 "cells": n,
-                "critical_q": _fmt(critical_q),
-                "critical_value": _fmt(critical.value),
-                "inside_q": _fmt(inside_q),
-                "inside_value": _fmt(inside.value),
+                "critical_q": critical_q,
+                "critical_value": critical.value,
+                "inside_q": inside_q,
+                "inside_value": inside.value,
             }
         )
         print(
@@ -205,7 +202,7 @@ def cmd_sharpness(args) -> int:
 
 def cmd_split(args) -> int:
     measure, weight = read_grid(args.grid)
-    kind = _kind(args.klass)
+    kind = ClassKind(args.klass)
     p = PParam(args.p)
     # The Q check and the tree share the grid's mass, w and w**s2 tables.
     tables = PrefixTables(measure, weight)
@@ -250,12 +247,18 @@ def cmd_split(args) -> int:
         "grid": args.grid,
     }
     if args.trace:
-        _write_csv(args.trace, params, TRACE_COLUMNS, trace_rows(tree))
+        # one row per node, breadth first; a leaf has no split record
+        rows = [
+            {"level": n.level, "box": n.box, "axis": n.axis, "breakpoint": n.split_coord, "ratio": n.ratio,
+             "x1": n.point.x1, "x2": n.point.x2, "segment_max": n.segment_psi_max, "diameter": n.diameter}
+            for n in tree.nodes()
+        ]
+        _write_csv(args.trace, params, tuple(rows[0]), rows)
     return 0
 
 
 def cmd_bellman_verify(args) -> int:
-    kind = _kind(args.klass)
+    kind = ClassKind(args.klass)
     p = PParam(args.p)
     if args.candidate.startswith("builtin:"):
         cand = builtin_candidate(args.candidate, kind, p, args.Q)
@@ -304,18 +307,18 @@ def cmd_bellman_verify(args) -> int:
                 "record": "summary",
                 "verdict": verdict,
                 "violations": len(report.violations),
-                "boundary_max_error": _fmt(report.boundary_max_error),
-                "c_hat": _fmt(report.c_hat),
+                "boundary_max_error": report.boundary_max_error,
+                "c_hat": report.c_hat,
             }
         ]
         for v in report.violations:
             rows.append(
                 {
                     "record": "violation",
-                    "lam": _fmt(v.lam),
-                    "deficit": _fmt(v.deficit),
-                    "x_a": f"{v.x_a[0]!r}|{v.x_a[1]!r}",
-                    "x_b": f"{v.x_b[0]!r}|{v.x_b[1]!r}",
+                    "lam": v.lam,
+                    "deficit": v.deficit,
+                    "x_a": "|".join(map(_text, v.x_a)),
+                    "x_b": "|".join(map(_text, v.x_b)),
                 }
             )
         columns = ("record", "lam", "deficit", "x_a", "x_b", "verdict", "violations",
@@ -331,8 +334,8 @@ def cmd_conclusion_check(args) -> int:
         measure, weight = power_weight_grid(args.alpha, args.cells)
     else:
         raise PreconditionError("provide either --grid or --alpha/--cells")
-    kind = _kind(args.klass)
-    probe = _kind(args.probe_class) if args.probe_class else None
+    kind = ClassKind(args.klass)
+    probe = ClassKind(args.probe_class) if args.probe_class else None
     report = theorem_conclusion_check(
         measure,
         weight,
@@ -364,7 +367,7 @@ def cmd_conclusion_check(args) -> int:
             "grid": args.grid or f"power:{args.alpha}:{args.cells}",
         }
         rows = [
-            {"cells": c, "value": _fmt(v)}
+            {"cells": c, "value": v}
             for c, v in zip(report.cell_counts, report.values)
         ]
         rows.append({"cells": "verdict", "value": report.verdict})
@@ -387,12 +390,15 @@ def cmd_make_grid(args) -> int:
 
 def cmd_export_csv(args) -> int:
     measure, weight = read_grid(args.grid)
-    export_cells_csv(
-        args.out,
-        measure,
-        weight,
-        header_lines=[f"boxweights {__version__}", f"param grid={args.grid}"],
-    )
+    columns = [f"{c}{ax}" for ax in range(measure.ndim) for c in ("i", "lo", "hi")] + ["mass", "value"]
+    bps = [b.tolist() for b in measure.breakpoints]
+    cells = zip(np.ndindex(measure.shape), measure.mass.ravel().tolist(), weight.values.ravel().tolist())
+    # one row per cell, row-major: index and bounds per axis, mass, value
+    rows = [
+        dict(zip(columns, [*(x for ax, i in enumerate(idx) for x in (i, bps[ax][i], bps[ax][i + 1])), m, v]))
+        for idx, m, v in cells
+    ]
+    _write_csv(args.out, {"grid": args.grid}, columns, rows)
     print(f"wrote {args.out}")
     return 0
 

@@ -318,13 +318,13 @@ def scan_tables(measure: GridMeasure, weight: WeightGrid, exponents, tables=None
     return tables
 
 
-def own_tables(measure: GridMeasure, weight: WeightGrid, tables=None, exponents=()):
+def own_tables(measure: GridMeasure, weight: WeightGrid, tables=None):
     """``tables`` if they were built for this very pair, new tables if None.
 
     Tables of another pair are refused: their sums belong to other cells.
     """
     if tables is None:
-        return PrefixTables(measure, weight, exponents)
+        return PrefixTables(measure, weight)
     if tables.measure is not measure or tables.weight is not weight:
         raise PreconditionError("prefix tables were built for another measure or weight")
     return tables
@@ -342,7 +342,7 @@ class PrefixTables:
     made from the largest prefix sum and the smallest positive cell (see
     precision_margin).  Below 1, every box sum read from the table, by the
     scan, the splitter or mass_sum and moment_sum, is the correctly rounded
-    exact sum.
+    exact sum; each of them refuses a table at or above 1 (certify).
     """
 
     def __init__(self, measure: GridMeasure, weight: WeightGrid, exponents=()):
@@ -421,8 +421,14 @@ class PrefixTables:
         """
         return self._record(s).margin
 
-    def certify(self, s: float | None = None) -> None:
-        """Raise PreconditionError if the table's margin is not below 1."""
+    def certify(self, *keys) -> None:
+        """Raise PreconditionError, naming the worst table, unless every margin is below 1.
+
+        The keys are None for the mass table and s for the w**s tables; with
+        none, the mass table is checked.  A NaN margin, from prefix sums that
+        overflowed, is the worst.
+        """
+        s = max(keys or (None,), key=lambda s: (math.isnan(m := self.precision_margin(s)), m))
         record = self._record(s)
         if not record.margin < 1.0:
             what = "cell masses" if s is None else f"cell moments of w**{float(s)!r}"
@@ -436,6 +442,8 @@ class PrefixTables:
         return self.moment_sum(None, box)
 
     def moment_sum(self, s: float | None, box: BoxIdx) -> float:
+        """Exact sum of the mass (s None) or of w**s over the box; refused beyond the certificate."""
+        self.certify(s)
         box.check_shape(self.measure.shape)
         *lead, (a, b) = box.ranges
         h, l = dd_box_diffs(*self.table(s), lead)
@@ -579,26 +587,3 @@ def read_grid(path) -> tuple[GridMeasure, WeightGrid]:
     weight = WeightGrid(values, power_alpha=power_alpha)
     return validate(measure, weight)
 
-
-def export_cells_csv(path, measure: GridMeasure, weight: WeightGrid, header_lines=()) -> None:
-    """CSV dump of the cell table: indices, bounds, mass and value per cell."""
-    rows = []
-    for idx in np.ndindex(measure.shape):
-        row = []
-        for ax, i in enumerate(idx):
-            bp = measure.breakpoints[ax]
-            row.extend([i, repr(float(bp[i])), repr(float(bp[i + 1]))])
-        row.append(repr(float(measure.mass[idx])))
-        row.append(repr(float(weight.values[idx])))
-        rows.append(row)
-    cols = []
-    for ax in range(measure.ndim):
-        cols.extend([f"i{ax}", f"lo{ax}", f"hi{ax}"])
-    cols.extend(["mass", "value"])
-    buf = []
-    for line in header_lines:
-        buf.append(f"# {line}")
-    buf.append(",".join(cols))
-    for row in rows:
-        buf.append(",".join(str(v) for v in row))
-    _atomic_write(path, "\n".join(buf) + "\n")

@@ -12,10 +12,10 @@ A node reduces the other axes of its box to one prefix column per table
 along the split axis, reads the sums of all its split positions as rounded
 differences of two entries of a column, and samples the segments of the
 window positions in chunks, in (|ratio - 1/2|, index) order; the first
-feasible candidate wins (see choose_position).  build_tree refuses tables
-beyond the precision certificate, as the scan does, so every sum is the
-correctly rounded exact sum, and children take their masses and points
-from the split.
+feasible candidate wins (see choose_position).  build_tree and
+choose_position refuse tables beyond the precision certificate, as the scan
+does, so every sum is the correctly rounded exact sum, and children take
+their masses and points from the split.
 
 Iterating M times produces a complete binary tree of 2**M leaves that
 partition the root.  The leaf-piecewise average functions converge to the
@@ -207,10 +207,12 @@ def choose_position(
     feasible candidate in that order wins.  With no feasible position every
     window candidate has been evaluated, and an InfeasibleSplitError
     reports the ratio closest to 1/2 over all positions and the smallest
-    segment maximum seen inside the ratio window.
+    segment maximum seen inside the ratio window.  Tables beyond the
+    precision certificate are refused first, as build_tree refuses them.
     """
     s2 = config.moment_exponent
-    tables = own_tables(measure, weight, tables, (1.0, s2))
+    tables = own_tables(measure, weight, tables)
+    tables.certify(None, 1.0, s2)
     a, b = box.ranges[axis]
     if b - a < 2:
         raise InfeasibleSplitError(
@@ -305,7 +307,7 @@ def build_tree(
     ``tables``, if given, must have been built for this measure and weight.
     """
     s2 = config.moment_exponent
-    tables = own_tables(measure, weight, tables, (1.0, s2))
+    tables = own_tables(measure, weight, tables)
     if root_box is None:
         root_box = BoxIdx.full(measure.shape)
     root_box.check_shape(measure.shape)
@@ -318,7 +320,7 @@ def build_tree(
             f"cell moment of w**{float(s)!r} is {moment!r} at positive-mass cell {cell}: it "
             f"under- or overflows, and split averages would leave it out"
         )
-    tables.certify(max((None, 1.0, s2), key=tables.precision_margin))
+    tables.certify(None, 1.0, s2)
     mass = tables.mass_sum(root_box)
     if mass <= 0.0:
         raise ZeroMeasureBoxError(root_box)
@@ -393,7 +395,8 @@ def chain_report(tree: SplitTree, r: float, candidate) -> ChainReport:
     value; it is called once per level, on the arrays of the level's
     average points, and must work elementwise.  If that call fails, the
     level's points are evaluated one at a time, in order, and the error
-    names the first failing point.
+    names the first failing point.  A value that is not finite fails the
+    same way, at the level's first such point in node order.
     """
     evaluate = candidate.evaluate if hasattr(candidate, "evaluate") else candidate
     total = tree.root.mass
@@ -413,41 +416,14 @@ def chain_report(tree: SplitTree, r: float, candidate) -> ChainReport:
             raise PreconditionError(
                 f"candidate evaluation failed on the level-{level} points: {exc}"
             ) from exc
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            point, value = tuple(nodes[bad[0]].point), float(values[bad[0]])
+            raise PreconditionError(
+                f"candidate evaluation failed at point {point}: value {value!r} is not finite"
+            )
         masses = np.array([node.mass for node in nodes])
         s_values.append(math.fsum((masses / total * values).tolist()))
     terminal = tree.tables.moment_sum(r, tree.root.box) / total
     return ChainReport(r=r, s_values=tuple(s_values), terminal_avg_wr=terminal)
 
-
-def trace_rows(tree: SplitTree):
-    """Row dicts for the CSV trace: one row per node in breadth-first order."""
-    rows = []
-    for node in tree.nodes():
-        rows.append(
-            {
-                "level": node.level,
-                "box": str(node.box),
-                "axis": "" if node.axis is None else node.axis,
-                "breakpoint": "" if node.split_coord is None else repr(node.split_coord),
-                "ratio": "" if node.ratio is None else repr(node.ratio),
-                "x1": repr(node.point.x1),
-                "x2": repr(node.point.x2),
-                "segment_max": (
-                    "" if node.segment_psi_max is None else repr(node.segment_psi_max)
-                ),
-                "diameter": repr(node.diameter),
-            }
-        )
-    return rows
-
-TRACE_COLUMNS = (
-    "level",
-    "box",
-    "axis",
-    "breakpoint",
-    "ratio",
-    "x1",
-    "x2",
-    "segment_max",
-    "diameter",
-)

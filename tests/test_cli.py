@@ -16,7 +16,7 @@ from boxweights import (
     write_grid,
 )
 from boxweights.bellman import refinement_gaps
-from boxweights.cli import DEFAULTS, main
+from boxweights.cli import DEFAULTS, _text, main
 from boxweights.grids import uniform_measure
 
 from conftest import FIXTURE_DIR
@@ -26,6 +26,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_one_value_formatter():
+    # numpy 2 scalars repr as np.float64(...), so a float is written as repr(float(v))
+    values = (None, 0.1, np.float64(0.1), np.float32(0.5), 1e-300, 3, np.int64(3), "0:2;1:3", True)
+    assert [_text(v) for v in values] == ["", "0.1", "0.1", "0.5", "1e-300", "3", "3", "0:2;1:3", "True"]
 
 
 class TestExponentsCommand:

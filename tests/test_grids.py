@@ -28,7 +28,6 @@ from boxweights.grids import (
     _parse_floats,
     _TokenReader,
     _wrap_floats,
-    export_cells_csv,
     lost_moment_cell,
     moment_cells,
     scan_tables,
@@ -655,17 +654,55 @@ values 2
         with pytest.raises(PreconditionError, match="truncated"):
             read_grid(path)
 
-    def test_export_csv(self, tmp_path):
-        measure, weight = power_weight_grid(1.0, 4)
-        path = tmp_path / "cells.csv"
-        export_cells_csv(path, measure, weight)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "i0,lo0,hi0,mass,value"
-        assert len(lines) == 5
-        assert lines[1].split(",")[-1] == "0.125"
-
 
 class TestPrecisionCertificate:
+    def test_box_sums_beyond_the_certificate_are_refused(self):
+        # 12 masses in e**[-40, 40], margin about 2e17: the mass table would
+        # give 1.1266441132481038e-16 for box 2:3, against
+        # 1.1266441132491998e-16 from math.fsum
+        mass = np.exp(np.random.default_rng(0).uniform(-40.0, 40.0, 12))
+        measure, weight = GridMeasure((np.linspace(0.0, 1.0, 13),), mass), WeightGrid(np.ones(12))
+        tables = PrefixTables(measure, weight)
+        box = BoxIdx(((2, 3),))
+        with pytest.raises(PreconditionError, match=r"cell masses span .*\(margin 1\.95e\+17\)"):
+            tables.mass_sum(box)
+        with pytest.raises(PreconditionError, match=r"cell moments of w\*\*1\.0 span"):
+            tables.moment_sum(1.0, box)
+        with pytest.raises(PreconditionError, match="cell masses span"):
+            box_average(measure, weight, box, 1.0)
+
+    def test_certified_box_sums_are_unchanged(self):
+        rng = np.random.default_rng(3)
+        mass, values = np.exp(rng.uniform(-3.0, 3.0, (4, 5))), np.exp(rng.uniform(-2.0, 2.0, (4, 5)))
+        measure, weight = GridMeasure((np.arange(5.0), np.arange(6.0)), mass), WeightGrid(values)
+        tables = PrefixTables(measure, weight)
+        tables.certify(None, 1.0, 2.5)
+        for ranges in itertools.product(*(itertools.combinations(range(m + 1), 2) for m in (4, 5))):
+            box, cells = BoxIdx(ranges), tuple(slice(a, b) for a, b in ranges)
+            m = math.fsum(mass[cells].ravel().tolist())
+            assert tables.mass_sum(box) == m
+            assert tables.moment_sum(2.5, box) == math.fsum((mass * values**2.5)[cells].ravel().tolist())
+            assert box_average(measure, weight, box, 1.0, tables) == tables.moment_sum(1.0, box) / m
+
+    def test_certify_names_the_worst_table(self):
+        # the mass and w tables are certified, the w**2 table is not
+        values = np.exp(np.random.default_rng(4).uniform(-15.0, 15.0, 12))
+        tables = PrefixTables(uniform_measure(12), WeightGrid(values))
+        tables.certify()
+        tables.certify(None, 1.0)
+        with pytest.raises(PreconditionError, match=r"w\*\*2\.0 span"):
+            tables.certify(None, 2.0, 1.0)
+
+    def test_overflowed_prefix_sums_are_the_worst(self):
+        # w*mass cells of about 1e308: their prefix sums overflow and the
+        # margin is NaN, which no comparison ranks above a finite margin
+        measure = GridMeasure((np.arange(5.0),), np.ones(4))
+        weight = WeightGrid(np.array([1e308, 1.7e308, 1e308, 1.5e308]))
+        with pytest.raises(PreconditionError, match=r"w\*\*1\.0 span nan .* \(margin nan\)"):
+            PrefixTables(measure, weight).certify(None, 1.0, -1.0)
+        with pytest.raises(PreconditionError, match=r"w\*\*1\.0 span nan"):
+            characteristic(measure, weight, ClassKind.MUCKENHOUPT_A, 2.0)
+
     def test_ordinary_grid_is_certified(self):
         measure, weight = power_weight_grid(0.5, 4096)
         tables = PrefixTables(measure, weight, (1.0, -1.0))

@@ -23,7 +23,7 @@ from boxweights.bellman import BellmanCandidate, read_candidate
 from boxweights.characteristics import characteristic, pair_gauge
 from boxweights.errors import InfeasibleSplitError, PreconditionError, ZeroMeasureBoxError
 from boxweights.grids import PrefixTables, uniform_measure
-from boxweights.splitting import TRACE_COLUMNS, ChainReport, segment_maxima, trace_rows
+from boxweights.splitting import ChainReport, segment_maxima
 
 from conftest import FIXTURE_DIR
 
@@ -155,6 +155,13 @@ class TestChoosePosition:
         weight = WeightGrid(np.ones(1))
         with pytest.raises(InfeasibleSplitError, match="single cell"):
             choose_position(measure, weight, BoxIdx(((0, 1),)), 0, config())
+
+    def test_tables_beyond_the_certificate_are_refused(self):
+        # 12 masses in e**[-40, 40]: the mass table's margin is about 2e17
+        mass = np.exp(np.random.default_rng(0).uniform(-40.0, 40.0, 12))
+        measure = GridMeasure((np.linspace(0.0, 1.0, 13),), mass)
+        with pytest.raises(PreconditionError, match=r"cell masses span .*\(margin 1\.95e\+17\)"):
+            choose_position(measure, WeightGrid(np.ones(12)), BoxIdx.full((12,)), 0, config())
 
 
 class TestBuildTree:
@@ -343,6 +350,27 @@ class TestChainReport:
         for tree, r, cand in runs:
             assert repr(chain_report(tree, r, cand)) == repr(_per_node_chain(tree, r, cand))
 
+    @pytest.mark.parametrize(
+        "bad, low, high",
+        [(np.nan, 0.0, 0.3), (np.inf, 0.0, 0.3), (-np.inf, 0.0, 0.3), (-np.inf, 0.5, 0.6)],
+    )
+    def test_non_finite_value_names_the_first_such_point(self, bad, low, high):
+        # x1 runs 0.236 .. 0.968 on level 3 and 0.333 .. 0.935 above it, so
+        # level 3 is the first to hold a non-finite value, and +inf as well;
+        # with -inf, math.fsum could not add the level
+        measure, weight = power_weight_grid(0.5, 2**8)
+        tree = build_tree(measure, weight, config(Q=4.0 / 3.0, Q1=2.0, levels=4))
+
+        def cand(x1, x2):
+            return np.where((low < x1) & (x1 < high), bad, np.where(x1 > 0.95, np.inf, x1))
+
+        first = next(n for n in tree.nodes() if not math.isfinite(cand(*n.point)))
+        assert first.level == 3 and first.path == ("000" if low == 0.0 else "010")
+        with pytest.raises(PreconditionError) as err:
+            chain_report(tree, 1.0, cand)
+        value = float(cand(*first.point))
+        assert str(err.value) == f"candidate evaluation failed at point {tuple(first.point)}: value {value!r} is not finite"
+
     def test_failing_level_names_the_first_failing_node(self, majorant_r12):
         cand, _ = majorant_r12
         measure, weight = power_weight_grid(0.5, 2**8)
@@ -373,18 +401,6 @@ class TestChainReport:
         tree = build_tree(measure, weight, cfg)
         with pytest.raises(PreconditionError, match="candidate evaluation failed"):
             chain_report(tree, 1.2, cand)
-
-
-class TestTrace:
-    def test_rows_cover_all_nodes(self):
-        measure = uniform_measure(8)
-        weight = WeightGrid(np.ones(8))
-        tree = build_tree(measure, weight, config(Q=1.0001, Q1=1.05, levels=3))
-        rows = trace_rows(tree)
-        assert len(rows) == 2**4 - 1
-        assert set(rows[0]) == set(TRACE_COLUMNS)
-        leaf_rows = [r for r in rows if r["axis"] == ""]
-        assert len(leaf_rows) == 8
 
 
 # ----------------------------------------------------------------------
