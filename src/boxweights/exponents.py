@@ -251,7 +251,15 @@ def extremal_alpha(kind: ClassKind, p, Q: float, side: Branch) -> float:
     p = _as_pparam(p)
     if not (Q > 1.0):
         raise PreconditionError(f"Q must exceed 1, got {Q}")
-    return -solve_branch(kind, p, 1.0 / Q, side)
+    alpha = -solve_branch(kind, p, 1.0 / Q, side)
+    # The root can lie within an ulp of the edge of the domain of x**alpha,
+    # where a computed factor that analytic_power_characteristic checks,
+    # 1 + alpha and 1 + alpha*p1 (ap) or 1 + alpha*p (rh), is not positive:
+    # step toward 0 an ulp at a time until every factor is.
+    factors = (1.0, p.p1) if kind is ClassKind.MUCKENHOUPT_A else (p.p,)
+    while not all(1.0 + alpha * f > 0.0 for f in factors):
+        alpha = math.nextafter(alpha, 0.0)
+    return alpha
 
 
 def analytic_power_characteristic(kind: ClassKind, p, alpha: float) -> float:

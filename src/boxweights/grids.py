@@ -278,16 +278,24 @@ def lost_moment_cell(mass: np.ndarray, moments: dict):
     return None
 
 
+def _sum_overflows(moments: dict) -> bool:
+    """Whether the cells of some moment sum beyond the doubles."""
+    with np.errstate(over="ignore"):
+        return not all(math.isfinite(float(cells.sum())) for cells in moments.values())
+
+
 def scan_weight(mass: np.ndarray, weight: WeightGrid, moments: dict):
     """(weight, moments) to scan: w, or w centred on 1 by a power of two.
 
     Both characteristics are invariant under w -> c*w.  When w loses a
-    moment cell (lost_moment_cell), w times the power of two nearest
-    1/sqrt(min w * max w) over positive-mass cells (zero-mass cells get 1)
-    is taken if it loses none; otherwise w is kept, so a scale that cannot
-    recover every cell never turns a finite supremum into +inf.
+    moment cell (lost_moment_cell), or keeps every cell but the cells of a
+    moment sum beyond the doubles, so that its prefix sums overflow, w times
+    the power of two nearest 1/sqrt(min w * max w) over positive-mass cells
+    (zero-mass cells get 1) is taken if it loses no cell; otherwise w is
+    kept, so a scale that cannot recover every cell never turns a finite
+    supremum into +inf.
     """
-    if lost_moment_cell(mass, moments) is None:
+    if lost_moment_cell(mass, moments) is None and not _sum_overflows(moments):
         return weight, moments
     positive = mass > 0.0
     w = weight.values[positive]

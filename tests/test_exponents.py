@@ -208,6 +208,21 @@ class TestExtremalAlpha:
         assert extremal_alpha(RH, P2, Q, Branch.PLUS) == pytest.approx(-1.0 / 3.0, abs=1e-6)
         assert extremal_alpha(RH, P2, Q, Branch.MINUS) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "p, Q, alpha",
+        [
+            (9.898110416583364, 73.87081963586095, -0.10102938418676284),
+            (9.611273464354923, 93.38386553791102, -0.10404448522962889),
+        ],
+    )
+    def test_root_on_the_domain_edge_steps_inside(self, p, Q, alpha):
+        # the branch root is an ulp further out, where 1 + alpha*p rounds to 0
+        # (alpha*p + 1 = -3.2e-17 in exact arithmetic for the first)
+        assert 1.0 + math.nextafter(alpha, -1.0) * p == 0.0
+        assert extremal_alpha(RH, PParam(p), Q, Branch.PLUS) == alpha
+        assert 1.0 + alpha * p > 0.0
+        assert analytic_power_characteristic(RH, PParam(p), alpha) > 1.0
+
     @settings(max_examples=100, deadline=None)
     @given(
         p=st.floats(1.1, 10.0),

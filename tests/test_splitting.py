@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from boxweights.bellman import BellmanCandidate, read_candidate
 from boxweights.characteristics import characteristic, pair_gauge
 from boxweights.errors import InfeasibleSplitError, PreconditionError, ZeroMeasureBoxError
 from boxweights.grids import PrefixTables, uniform_measure
+from boxweights import splitting
 from boxweights.splitting import ChainReport, segment_maxima
 
 from conftest import FIXTURE_DIR
@@ -483,10 +485,10 @@ def _ref_choose(measure, box, axis, config, tables):
     )
 
 
-def _ref_tree(measure, weight, config):
+def _ref_tree(measure, weight, config, tables=None):
     """Node records of the tree, each child re-queried from its box."""
     s2 = config.moment_exponent
-    tables = PrefixTables(measure, weight, (1.0, s2))
+    tables = tables or PrefixTables(measure, weight, (1.0, s2))
     nodes = []
 
     def grow(box, level, path):
@@ -579,6 +581,81 @@ class TestBatchedSplitterAgainstLoop:
             got = _outcome(lambda: _records(build_tree(measure, weight, cfg)))
             assert got == _outcome(lambda: _ref_tree(measure, weight, cfg))
             assert got[0] == "ok"
+
+    def test_power_tree_with_an_infeasible_tight_band(self):
+        # x**-0.3 at 512 cells: the tight band rejects every root position;
+        # at 8 levels x**0.2 fails first at node 1010011
+        for alpha, levels, path in ((-0.3, 7, ""), (0.2, 8, "1010011")):
+            measure, weight = power_weight_grid(alpha, 512)
+            Q = 1.0 / ((1.0 + alpha) * (1.0 - alpha))  # the continuum A_2 characteristic
+            cfg = config(Q=Q, Q1=Q * 1.0005, levels=levels)
+            got = _outcome(lambda: _records(build_tree(measure, weight, cfg)))
+            assert got == _outcome(lambda: _ref_tree(measure, weight, cfg))
+            assert got[0] == "InfeasibleSplitError" and got[2].endswith(f"{path!r})")
+
+    def test_first_failure_in_preorder_is_raised(self):
+        # The root splits at 8.  Node 1 = [8, 14) has no ratio in (0.4, 0.6),
+        # node 0 = [0, 8) splits at 4, and node 01 = [4, 8) has none either:
+        # a level at a time meets node 1 first, preorder meets node 01 first.
+        mass = np.array([1.0, 1.0, 1.0, 1.0, 0.1, 3.0, 0.1, 0.1, 0.1, 0.1, 0.1, 6.8, 0.1, 0.1])
+        measure = GridMeasure((np.linspace(0.0, 1.0, 15),), mass)
+        weight = WeightGrid(np.ones(14))
+        cfg = config(Q=1.0001, Q1=1.05, c=0.4, levels=3)
+        with pytest.raises(InfeasibleSplitError, match="along axis 0"):
+            choose_position(measure, weight, BoxIdx(((8, 14),)), 0, cfg)
+        got = _outcome(lambda: _records(build_tree(measure, weight, cfg)))
+        assert got == _outcome(lambda: _ref_tree(measure, weight, cfg))
+        assert got[0] == "InfeasibleSplitError" and "no feasible split of 4:8" in got[1]
+        assert got[2].endswith("'01')")
+
+    @pytest.mark.parametrize(
+        "Q1, zero_at, want",
+        [
+            (1.4, 1, "ok"),  # k = 2 is feasible and wins in the first round
+            (1.3, 3, "ok"),  # k = 2 is rejected; k = 1 wins in the round that holds k = 3
+            (1.3, 1, "ZeroMeasureBoxError"),  # k = 2 is rejected; k = 1 stops the search
+        ],
+    )
+    def test_zero_mass_child_after_a_feasible_candidate(self, monkeypatch, Q1, zero_at, want):
+        # Search order k = 2, 1, 3 with segment maxima 1.333, 1.296 and 1.268.
+        # On exact sums a window position never has a zero-mass child (c <
+        # ratio < 1 - c gives 0 < left < total), so the mass sum of the right
+        # child [zero_at, 4) is patched to read 0 in both searches.
+        measure = GridMeasure((np.linspace(0.0, 1.0, 5),), np.ones(4))
+        weight = WeightGrid(np.array([2.0, 1.0, 1.0, 3.0]))
+        cfg = config(Q=1.0001, Q1=Q1, levels=1)
+        tables = PrefixTables(measure, weight, (1.0, cfg.moment_exponent))
+        mass_hi = tables.mass_table[0]
+        between, ref_box_sum = splitting._between, _ref_box_sum
+
+        def patched_between(column, x, y):
+            sums = between(column, x, y)
+            hit = (np.asarray(x) == zero_at) & (np.asarray(y) == 4)
+            return np.where(hit, 0.0, sums) if column[0] is mass_hi else sums
+
+        def patched_ref(hi, lo, ranges):
+            return 0.0 if hi is mass_hi and ranges == ((zero_at, 4),) else ref_box_sum(hi, lo, ranges)
+
+        monkeypatch.setattr(splitting, "_between", patched_between)
+        monkeypatch.setattr(sys.modules[__name__], "_ref_box_sum", patched_ref)
+        got = _outcome(lambda: _records(build_tree(measure, weight, cfg, tables=tables)))
+        assert got == _outcome(lambda: _ref_tree(measure, weight, cfg, tables))
+        assert got[0] == want
+        if want != "ok":
+            assert got[1] == "box 1:4 has zero measure"
+
+    def test_segment_calls_of_few_samples_give_the_same_trees(self, monkeypatch):
+        # one segment per segment_maxima call, then three; the x**0.2 tree
+        # fails at node 1010011
+        runs = []
+        for alpha, factor, levels in ((0.5, 1.5, 7), (0.5, 1.0005, 7), (0.2, 1.0005, 8)):
+            Q = 1.0 / ((1.0 + alpha) * (1.0 - alpha))
+            runs.append((*power_weight_grid(alpha, 512), config(Q=Q, Q1=Q * factor, levels=levels)))
+        want = [_outcome(lambda: _records(build_tree(*run))) for run in runs]
+        assert [w[0] for w in want] == ["ok", "ok", "InfeasibleSplitError"]
+        for cap in (1, 3 * 257):
+            monkeypatch.setattr(splitting, "_CALL_SAMPLES", cap)
+            assert [_outcome(lambda: _records(build_tree(*run))) for run in runs] == want
 
     @pytest.mark.parametrize(
         "mass, c, Q1",
