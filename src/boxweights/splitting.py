@@ -335,8 +335,9 @@ def _split_level(measure: GridMeasure, tables: PrefixTables, config: SplitConfig
         found.tolist(), (wk - offset[owner])[e].tolist(), ratios[window[e]].tolist(), psi[e].tolist(),
         left[0][e].tolist(), right[0][e].tolist(), nonpositive[e].tolist(), *(x[e].tolist() for x in ends),
     )
+    live = live.tolist()
     for j, index, ratio, smax, m_left, m_right, bad, *xs in rows:
-        i = int(live[j])
+        i = live[j]
         box, axis = boxes[i], axes[i]
         if m_left <= 0.0 or m_right <= 0.0:
             outcomes[i] = ZeroMeasureBoxError(_split_box(box, axis, index)[0 if m_left <= 0.0 else 1])
@@ -347,7 +348,7 @@ def _split_level(measure: GridMeasure, tables: PrefixTables, config: SplitConfig
             outcomes[i] = (axis, index, coord, ratio, smax, AvgPoint(*xs[:2]), AvgPoint(*xs[2:]), m_left, m_right)
     # No feasible candidate: every window candidate has been searched.
     for j in np.flatnonzero(first < 0).tolist():
-        i = int(live[j])
+        i = live[j]
         box, axis = boxes[i], axes[i]
         best_psi = min(psi[start[j]:end[j]].tolist(), default=None)
         ks = range(int(span[j, 0]) + 1, int(span[j, 1]))
@@ -446,14 +447,14 @@ def build_tree(
     levels: list[list[SplitNode]] = []
     grown = [(root_box, "", mass, point)]  # box, path, mass and point of the next level's nodes
     parents: list[SplitNode] = []
-    failure = None  # (path, error) of the first failed split in preorder
+    failure = None
     for level in range(config.levels + 1):
         if not grown:
             break
         boxes = [box for box, *_ in grown]
         ranges = np.array([box.ranges for box in boxes], dtype=np.intp)
         lengths = _edge_lengths(measure, ranges)
-        nodes = [
+        nodes = [  # diameters as GridMeasure.box_diameter computes them
             SplitNode(box=box, level=level, path=path, mass=m, point=x,
                       diameter=math.sqrt(sum(edge**2 for edge in edges)))
             for (box, path, m, x), edges in zip(grown, lengths.T.tolist())
@@ -464,16 +465,16 @@ def build_tree(
         if level == config.levels:
             break
         outcomes = _split_level(measure, tables, config, boxes, ranges, np.argmax(lengths, axis=0))
-        for node, outcome in zip(nodes, outcomes):
-            if isinstance(outcome, Exception) and (failure is None or node.path < failure[0]):
-                if isinstance(outcome, InfeasibleSplitError):
-                    outcome.path = node.path
-                failure = (node.path, outcome)
-        # Only nodes before the first failure in preorder grow on.
+        # A level's nodes come in path order, and all of them precede every
+        # failure met so far: the level's first failure is the new first one
+        # in preorder, and only the nodes before it grow on.
         grown, parents = [], []
         for node, outcome in zip(nodes, outcomes):
-            if isinstance(outcome, Exception) or (failure is not None and node.path > failure[0]):
-                continue
+            if isinstance(outcome, Exception):
+                if isinstance(outcome, InfeasibleSplitError):
+                    outcome.path = node.path
+                failure = outcome
+                break
             axis, index, _, _, _, left_point, right_point, left_mass, right_mass = outcome
             node.axis, node.split_index, node.split_coord, node.ratio, node.segment_psi_max = outcome[:5]
             left_box, right_box = _split_box(node.box, axis, index)
@@ -481,7 +482,7 @@ def build_tree(
                       (right_box, node.path + "1", right_mass, right_point)]
             parents.append(node)
     if failure is not None:
-        raise failure[1]
+        raise failure
     return SplitTree(
         config=config,
         measure=measure,
