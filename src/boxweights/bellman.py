@@ -29,7 +29,7 @@ import numpy as np
 from .characteristics import characteristic, pair_gauge
 from .errors import CandidateDomainError, PreconditionError
 from .exponents import ClassKind, PParam, _as_pparam, r_is_admissible
-from .grids import GridMeasure, PrefixTables, WeightGrid, _atomic_write, _parse_float, _parse_floats
+from .grids import GridMeasure, PrefixTables, WeightGrid, _atomic_write, _parse_float
 from .grids import _TokenReader, _wrap_floats, refine
 from .splitting import DEFAULT_SEGMENT_SAMPLES, _samples, segment_maxima
 
@@ -272,7 +272,11 @@ def write_candidate(path, cand: BellmanCandidate) -> None:
     table = cand.table
     if table is None:
         raise PreconditionError("only tabulated candidates can be written to a file")
-    lines = [
+    _atomic_write(path, _candidate_pieces(cand, table))
+
+
+def _candidate_pieces(cand: BellmanCandidate, table: CandidateTable):
+    yield "\n".join([
         "# boxweights bellman candidate v1",
         "candidate 1",
         f"class {cand.kind.value}",
@@ -281,36 +285,35 @@ def write_candidate(path, cand: BellmanCandidate) -> None:
         f"Q {cand.Q!r}",
         f"x1grid {table.xi.size} {float(table.xi[0])!r} {float(table.xi[-1])!r}",
         f"x2grid {table.eta.size} {float(table.eta[0])!r} {float(table.eta[-1])!r}",
-        f"values {table.values.size}",
-    ]
-    lines.extend(_wrap_floats(table.values))
-    _atomic_write(path, "\n".join(lines) + "\n")
+        f"values {table.values.size}\n",
+    ])
+    yield from _wrap_floats(table.values)
 
 
 def read_candidate(path) -> BellmanCandidate:
-    tok = _TokenReader(path, "candidate")
-    tok.expect("candidate")
-    if tok.take()[0] != "1":
-        raise PreconditionError(f"unsupported candidate format version in {path}")
-    tok.expect("class")
-    kind = ClassKind(tok.take()[0])
-    tok.expect("p")
-    p = PParam(_parse_float(tok.take()[0]))
-    tok.expect("r")
-    r = _parse_float(tok.take()[0])
-    tok.expect("Q")
-    Q = _parse_float(tok.take()[0])
-    tok.expect("x1grid")
-    n1 = int(tok.take()[0])
-    xi0, xi1 = (_parse_float(t) for t in tok.take(2))
-    tok.expect("x2grid")
-    n2 = int(tok.take()[0])
-    eta0, eta1 = (_parse_float(t) for t in tok.take(2))
-    tok.expect("values")
-    count = int(tok.take()[0])
-    if count != n1 * n2:
-        raise PreconditionError(f"candidate value count mismatch in {path}")
-    values = _parse_floats(tok.take(count)).reshape(n1, n2)
+    with _TokenReader(path, "candidate") as tok:
+        tok.expect("candidate")
+        if tok.take()[0] != "1":
+            raise PreconditionError(f"unsupported candidate format version in {path}")
+        tok.expect("class")
+        kind = ClassKind(tok.take()[0])
+        tok.expect("p")
+        p = PParam(_parse_float(tok.take()[0]))
+        tok.expect("r")
+        r = _parse_float(tok.take()[0])
+        tok.expect("Q")
+        Q = _parse_float(tok.take()[0])
+        tok.expect("x1grid")
+        n1 = int(tok.take()[0])
+        xi0, xi1 = (_parse_float(t) for t in tok.take(2))
+        tok.expect("x2grid")
+        n2 = int(tok.take()[0])
+        eta0, eta1 = (_parse_float(t) for t in tok.take(2))
+        tok.expect("values")
+        count = int(tok.take()[0])
+        if count != n1 * n2:
+            raise PreconditionError(f"candidate value count mismatch in {path}")
+        values = tok.floats(count).reshape(n1, n2)
     table = CandidateTable(
         xi=np.linspace(xi0, xi1, n1), eta=np.linspace(eta0, eta1, n2), values=values
     )

@@ -90,12 +90,16 @@ def _text(value) -> str:
 
 def _write_csv(path, params: dict, columns, rows) -> None:
     """Version and sorted ``# param`` lines, the column header, one line per row dict."""
-    buf = [f"# boxweights {__version__}"]
-    buf.extend(f"# param {key}={_text(params[key])}" for key in sorted(params))
-    buf.append(",".join(columns))
+    _atomic_write(path, _csv_lines(params, columns, rows))
+
+
+def _csv_lines(params: dict, columns, rows):
+    yield f"# boxweights {__version__}\n"
+    for key in sorted(params):
+        yield f"# param {key}={_text(params[key])}\n"
+    yield ",".join(columns) + "\n"
     for row in rows:
-        buf.append(",".join(map(_text, map(row.get, columns))))
-    _atomic_write(path, "\n".join(buf) + "\n")
+        yield ",".join(map(_text, map(row.get, columns))) + "\n"
 
 
 def _print_row(row: dict) -> None:
@@ -144,13 +148,11 @@ def cmd_sharpness(args) -> int:
     rng = sharp_range(kind, p, args.Q)
     alpha = extremal_alpha(kind, p, args.Q, side)
     if side is Branch.MINUS:
-        probe = ClassKind.MUCKENHOUPT_A
-        critical_q = args.critical_q if args.critical_q else rng.a_lower
-        inside_q = args.inside_q if args.inside_q else critical_q + DEFAULTS["a_side_inside_offset"]
+        probe, sharp_q, offset = ClassKind.MUCKENHOUPT_A, rng.a_lower, DEFAULTS["a_side_inside_offset"]
     else:
-        probe = ClassKind.REVERSE_HOLDER
-        critical_q = args.critical_q if args.critical_q else rng.rh_upper
-        inside_q = args.inside_q if args.inside_q else critical_q + DEFAULTS["rh_side_inside_offset"]
+        probe, sharp_q, offset = ClassKind.REVERSE_HOLDER, rng.rh_upper, DEFAULTS["rh_side_inside_offset"]
+    critical_q = sharp_q if args.critical_q is None else args.critical_q
+    inside_q = critical_q + offset if args.inside_q is None else args.inside_q
     cells = [int(c) for c in args.cells.split(",")]
     rows = []
     for n in cells:
@@ -207,12 +209,12 @@ def cmd_split(args) -> int:
     # The Q check and the tree share the grid's mass, w and w**s2 tables.
     tables = PrefixTables(measure, weight)
     base = characteristic(measure, weight, kind, args.p, tables)
-    Q = args.Q if args.Q else base.value
+    Q = base.value if args.Q is None else args.Q
     if base.value > Q * (1.0 + 1e-9):
         raise PreconditionError(
             f"grid characteristic {base.value} exceeds the requested bound Q={Q}"
         )
-    Q1 = args.Q1 if args.Q1 else Q * DEFAULTS["q1_factor"]
+    Q1 = Q * DEFAULTS["q1_factor"] if args.Q1 is None else args.Q1
     config = SplitConfig(
         kind=kind,
         p=p,

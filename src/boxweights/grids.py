@@ -24,6 +24,7 @@ import copy
 import math
 import os
 import re
+import stat
 import tempfile
 from collections import namedtuple
 from dataclasses import dataclass
@@ -470,7 +471,9 @@ def box_average(measure, weight, box: BoxIdx, s: float, tables: PrefixTables | N
 # ----------------------------------------------------------------------
 # File formats.  The grid format is a token stream: '#' starts a comment
 # that runs to end of line, floats may be plain decimal or C99 hex
-# (0x1.8p-1) literals.  See README for the layout.
+# (0x1.8p-1) literals.  See README for the layout.  Files are read and
+# written a chunk at a time, so memory is the arrays read or written plus
+# one chunk of text.
 # ----------------------------------------------------------------------
 
 
@@ -490,25 +493,88 @@ def _parse_floats(toks) -> np.ndarray:
 
 
 # A comment runs to the next line end as str.splitlines sees one (open() has
-# already turned \r\n and \r into \n).
+# already turned \r\n and \r into \n).  A chunk of text ends after a "\n",
+# so no comment and no token crosses into the next chunk.
 _COMMENT = re.compile(r"#[^\n\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
+
+# characters read per chunk; a line longer than this is read whole
+_READ_CHUNK = 1 << 16
 
 
 class _TokenReader:
-    """Sequential reader over the tokens of a ``kind`` file (grid, candidate)."""
+    """Sequential reader over the tokens of a ``kind`` file (grid, candidate).
+
+    The file is read a chunk of whole lines at a time; a context manager
+    that closes the file.
+    """
 
     def __init__(self, path, kind: str):
-        with open(path, "r") as handle:
-            self.toks = _COMMENT.sub("", handle.read()).split()
-        self.pos = 0
         self.path = path
         self.kind = kind
+        self._handle = open(path, "r")
+        # n tokens take at least 2n - 1 bytes, so a regular file bounds any count
+        info = os.fstat(self._handle.fileno())
+        self._max_tokens = info.st_size // 2 + 1 if stat.S_ISREG(info.st_mode) else math.inf
+        self._tail = ""
+        self._toks: list[str] = []
+        self._pos = 0
 
-    def take(self, n=1):
-        if self.pos + n > len(self.toks):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+    def _refill(self) -> bool:
+        """Tokenize the next chunk of whole lines; False at the end of the file."""
+        pieces = [self._tail]
+        while (block := self._handle.read(_READ_CHUNK)) and "\n" not in block:
+            pieces.append(block)
+        cut = block.rfind("\n") + 1  # 0 at the end of the file
+        pieces.append(block[:cut])
+        self._tail = block[cut:]
+        text = "".join(pieces)
+        self._toks, self._pos = _COMMENT.sub("", text).split(), 0
+        return bool(text)
+
+    def at_end(self) -> bool:
+        while self._pos == len(self._toks):
+            if not self._refill():
+                return True
+        return False
+
+    def _next(self, n: int) -> list[str]:
+        """Up to n further tokens, at least one; raises at the end of the file."""
+        if self.at_end():
             raise PreconditionError(f"truncated {self.kind} file {self.path}")
-        out = self.toks[self.pos : self.pos + n]
-        self.pos += n
+        toks = self._toks[self._pos : self._pos + n]
+        self._pos += len(toks)
+        return toks
+
+    def take(self, n=1) -> list[str]:
+        return [self._next(1)[0] for _ in range(n)]
+
+    def floats(self, n: int) -> np.ndarray:
+        """The next n tokens as floats, parsed a chunk at a time.
+
+        A parse error is raised only once the n tokens are known to exist,
+        so a truncated block reports the truncation; so does a count the
+        file cannot hold, before anything is allocated for it.
+        """
+        if n > self._max_tokens:
+            raise PreconditionError(f"truncated {self.kind} file {self.path}")
+        out = np.empty(max(n, 0))
+        done, error = 0, None
+        while done < n:
+            toks = self._next(n - done)
+            if error is None:
+                try:
+                    out[done : done + len(toks)] = _parse_floats(toks)
+                except ValueError as err:
+                    error = err
+            done += len(toks)
+        if error is not None:
+            raise error
         return out
 
     def expect(self, keyword):
@@ -519,40 +585,43 @@ class _TokenReader:
 
 def write_grid(path, measure: GridMeasure, weight: WeightGrid) -> None:
     """Write a measure/weight pair in the text grid format (atomic)."""
-    lines = ["# boxweights grid format v1", "grid 1", f"dim {measure.ndim}"]
+    _atomic_write(path, _grid_pieces(measure, weight))
+
+
+def _grid_pieces(measure: GridMeasure, weight: WeightGrid):
+    yield f"# boxweights grid format v1\ngrid 1\ndim {measure.ndim}\n"
     for ax, bp in enumerate(measure.breakpoints):
-        lines.append(f"breakpoints {ax} {bp.size}")
-        lines.extend(_wrap_floats(bp))
-    flat_mass = measure.mass.reshape(-1)
-    lines.append(f"mass {flat_mass.size}")
-    lines.extend(_wrap_floats(flat_mass))
-    flat_vals = weight.values.reshape(-1)
-    lines.append(f"values {flat_vals.size}")
-    lines.extend(_wrap_floats(flat_vals))
+        yield f"breakpoints {ax} {bp.size}\n"
+        yield from _wrap_floats(bp)
+    for name, arr in (("mass", measure.mass), ("values", weight.values)):
+        yield f"{name} {arr.size}\n"
+        yield from _wrap_floats(arr)
     if weight.power_alpha is not None:
-        lines.append(f"generator power {weight.power_alpha!r}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+        yield f"generator power {weight.power_alpha!r}\n"
 
 
-# floats per line of a written file
+# floats per line of a written file, and per piece handed to the writer
 _FLOATS_PER_LINE = 8
+_WRITE_BLOCK = 512 * _FLOATS_PER_LINE
 
 
 def _wrap_floats(arr):
+    """The floats as lines of text, repr each, in pieces of _WRITE_BLOCK floats."""
     arr = np.asarray(arr, dtype=np.float64).reshape(-1)
-    return [
-        " ".join(map(repr, arr[i : i + _FLOATS_PER_LINE].tolist()))
-        for i in range(0, arr.size, _FLOATS_PER_LINE)
-    ]
+    for start in range(0, arr.size, _WRITE_BLOCK):
+        vals = arr[start : start + _WRITE_BLOCK].tolist()
+        lines = range(0, len(vals), _FLOATS_PER_LINE)
+        yield "\n".join([" ".join(map(repr, vals[i : i + _FLOATS_PER_LINE])) for i in lines]) + "\n"
 
 
-def _atomic_write(path, text: str) -> None:
+def _atomic_write(path, pieces) -> None:
+    """Write the text pieces to path through a temp file and a rename."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -562,36 +631,32 @@ def _atomic_write(path, text: str) -> None:
 
 def read_grid(path) -> tuple[GridMeasure, WeightGrid]:
     """Read a measure/weight pair written by write_grid."""
-    tok = _TokenReader(path, "grid")
-    tok.expect("grid")
-    version = tok.take()[0]
-    if version != "1":
-        raise PreconditionError(f"unsupported grid format version {version}")
-    tok.expect("dim")
-    ndim = int(tok.take()[0])
-    bps = []
-    for ax in range(ndim):
-        tok.expect("breakpoints")
-        got_ax = int(tok.take()[0])
-        if got_ax != ax:
-            raise PreconditionError(f"breakpoints out of order in {path}")
-        count = int(tok.take()[0])
-        bps.append(_parse_floats(tok.take(count)))
-    shape = tuple(b.size - 1 for b in bps)
-    tok.expect("mass")
-    count = int(tok.take()[0])
-    mass = _parse_floats(tok.take(count)).reshape(shape)
-    tok.expect("values")
-    count = int(tok.take()[0])
-    values = _parse_floats(tok.take(count)).reshape(shape)
-    power_alpha = None
-    if tok.pos < len(tok.toks):
-        tok.expect("generator")
-        gen_kind = tok.take()[0]
-        if gen_kind != "power":
-            raise PreconditionError(f"unknown generator '{gen_kind}' in {path}")
-        power_alpha = _parse_float(tok.take()[0])
+    with _TokenReader(path, "grid") as tok:
+        tok.expect("grid")
+        version = tok.take()[0]
+        if version != "1":
+            raise PreconditionError(f"unsupported grid format version {version}")
+        tok.expect("dim")
+        ndim = int(tok.take()[0])
+        bps = []
+        for ax in range(ndim):
+            tok.expect("breakpoints")
+            got_ax = int(tok.take()[0])
+            if got_ax != ax:
+                raise PreconditionError(f"breakpoints out of order in {path}")
+            bps.append(tok.floats(int(tok.take()[0])))
+        shape = tuple(b.size - 1 for b in bps)
+        tok.expect("mass")
+        mass = tok.floats(int(tok.take()[0])).reshape(shape)
+        tok.expect("values")
+        values = tok.floats(int(tok.take()[0])).reshape(shape)
+        power_alpha = None
+        if not tok.at_end():
+            tok.expect("generator")
+            gen_kind = tok.take()[0]
+            if gen_kind != "power":
+                raise PreconditionError(f"unknown generator '{gen_kind}' in {path}")
+            power_alpha = _parse_float(tok.take()[0])
     measure = GridMeasure(tuple(bps), mass)
     weight = WeightGrid(values, power_alpha=power_alpha)
     return validate(measure, weight)
-

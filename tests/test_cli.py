@@ -234,6 +234,22 @@ class TestSharpnessCommand:
         assert float(critical_value) > float(inside_value)
 
 
+    @pytest.mark.parametrize(
+        "klass, side, flag, error",
+        [("ap", "minus", "--critical-q", "Muckenhoupt exponent must exceed 1, got 0.0"),
+         ("ap", "minus", "--inside-q", "Muckenhoupt exponent must exceed 1, got 0.0"),
+         ("rh", "plus", "--critical-q", "Reverse Holder exponent must be >= 1, got 0.0"),
+         ("rh", "plus", "--inside-q", "Reverse Holder exponent must be >= 1, got 0.0")],
+    )
+    def test_zero_exponent_is_refused_not_defaulted(self, capsys, klass, side, flag, error):
+        code, _, err = run(
+            capsys, "sharpness", "--class", klass, "--p", "2", "--Q", "1.5", "--side", side,
+            "--cells", "64", flag, "0",
+        )
+        assert code == 2
+        assert err == f"error: {error}\n"
+
+
 class TestSplitCommand:
     def test_uniform_trace(self, capsys, tmp_path):
         grid = tmp_path / "u.txt"
@@ -302,6 +318,20 @@ class TestSplitCommand:
         assert code == 2
         assert "exceeds" in err
 
+
+    @pytest.mark.parametrize(
+        "flag, error",
+        [("--Q", "grid characteristic 1.290598104075477 exceeds the requested bound Q=0.0"),
+         ("--Q1", "need Q1 > Q > 1, got Q=1.290598104075477, Q1=0.0")],
+    )
+    def test_zero_bound_is_refused_not_defaulted(self, capsys, tmp_path, flag, error):
+        grid = tmp_path / "w.txt"
+        write_grid(grid, *power_weight_grid(0.5, 64))
+        code, _, err = run(
+            capsys, "split", "--class", "ap", "--p", "2", "--grid", str(grid), "--levels", "2", flag, "0",
+        )
+        assert code == 2
+        assert err == f"error: {error}\n"
 
     def test_one_table_set(self, capsys, tmp_path, table_builds):
         # the Q check and the tree read the same mass, w and w**s2 tables

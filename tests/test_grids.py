@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,8 @@ from boxweights import (
     validate,
     write_grid,
 )
+from boxweights import grids
+from boxweights.bellman import BellmanCandidate, CandidateTable, read_candidate, write_candidate
 from boxweights.errors import PreconditionError, ZeroMeasureBoxError
 from boxweights._summation import dd_add, dd_box_diffs, dd_prefix_tables, dd_sub, dd_sub_rounded
 from boxweights.grids import (
@@ -35,7 +38,7 @@ from boxweights.grids import (
     uniform_measure,
 )
 
-from conftest import random_pair
+from conftest import FIXTURE_DIR, random_pair
 
 
 class TestValidate:
@@ -575,8 +578,9 @@ class TestGridFiles:
             np.exp(rng.uniform(-700.0, 700.0, 37)), [0.0, -0.0, 5e-324, 1e16, 2.0**53, 0.1, 1.0 / 3.0],
         ])
         want = [" ".join(repr(float(v)) for v in arr[i : i + 8]) for i in range(0, arr.size, 8)]
-        assert _wrap_floats(arr) == want
-        assert _wrap_floats(arr.reshape(4, 11)) == want
+        want = "".join(line + "\n" for line in want)
+        assert "".join(_wrap_floats(arr)) == want
+        assert "".join(_wrap_floats(arr.reshape(4, 11))) == want
 
     def test_tokens_match_line_by_line_reader(self, tmp_path):
         # every line end str.splitlines knows ends a comment
@@ -588,7 +592,9 @@ class TestGridFiles:
         path.write_text(text, newline="")
         with open(path) as handle:
             expected = _old_tokens(handle.read())
-        assert _TokenReader(path, "grid").toks == expected
+        with _TokenReader(path, "grid") as reader:
+            assert reader.take(len(expected)) == expected
+            assert reader.at_end()
         measure, weight = read_grid(path)
         assert np.array_equal(measure.mass, [0.5, 0.5])
         assert np.array_equal(weight.values, [1.0, 2.0])
@@ -670,6 +676,142 @@ values 2
         path.write_text("grid 1\ndim 1\nbreakpoints 0 3\n0.0 0.5\n")
         with pytest.raises(PreconditionError, match="truncated"):
             read_grid(path)
+
+
+def _outcome(read, path):
+    """What a reader makes of a file: its arrays' bytes, or its error's type and text."""
+    try:
+        result = read(path)
+    except (PreconditionError, ValueError) as err:
+        return type(err).__name__, str(err)
+    if isinstance(result, tuple):
+        measure, weight = result
+        arrays = (*measure.breakpoints, measure.mass, weight.values)
+        return [(a.shape, a.tobytes()) for a in arrays], weight.power_alpha
+    table = result.table
+    return [(a.shape, a.tobytes()) for a in (table.xi, table.eta, table.values)], result.Q
+
+
+_GRID_HEAD = "grid 1\ndim 1\nbreakpoints 0 3\n"
+
+# case -> (file text, the start of the error read_grid raises on it, or None)
+_CHUNK_EDGE_CASES = {
+    "line ends": (
+        "# head\ngrid 1 # c\x0cdim 1\x0bbreakpoints 0 3 #x\x1c0 0.5\x1d1 #y\x1e\x85mass 2"
+        "\u2028 0.5 #z\u2029 0.5\r\nvalues 2\r1 2 # tail",
+        None,
+    ),
+    "crlf and lone cr": (_GRID_HEAD.replace("\n", "\r\n") + "0 0.5 1\rmass 2\r\r0.5 0.5 #\r\nvalues 2\r1 2\r", None),
+    "no trailing newline": (_GRID_HEAD + "0 0.5 1\nmass 2\n0.5 0.5\nvalues 2\n1 2", None),
+    "long line": ("grid 1 dim 1 breakpoints 0 3 0 0.5 1 mass 2 0.5 0.5 values 2 1 2\n", None),
+    "hex in second chunk": (_GRID_HEAD + "0 0x1p-1 1\nmass 2\n0x1p-1 0.5\nvalues 2\n1.0 0x1.8p+1\n", None),
+    "bad token": (_GRID_HEAD + "0 0.5 1\nmass 2\n0.5 0.5\nvalues 2\n1 zz\n", "could not convert string to float: 'zz'"),
+    "truncated and bad": (_GRID_HEAD + "0 zz\n# one short\n", "truncated grid file"),
+    "generator": (_GRID_HEAD + "0 0.5 1\nmass 2\n0.5 0.5\nvalues 2\n1 2\ngenerator power 0.5 # g\n", None),
+}
+
+
+class TestChunkBoundaries:
+    """Read a few characters at a time, files give the tokens, arrays and errors of a whole-file read."""
+
+    @pytest.mark.parametrize("case", sorted(_CHUNK_EDGE_CASES))
+    def test_grid_reads_equal_the_whole_file_read(self, tmp_path, monkeypatch, case):
+        text, error = _CHUNK_EDGE_CASES[case]
+        path = tmp_path / "grid.txt"
+        path.write_text(text, newline="")
+        with open(path) as handle:
+            expected = _old_tokens(handle.read())
+        monkeypatch.setattr(grids, "_READ_CHUNK", 1 << 20)
+        whole = _outcome(read_grid, path)
+        if error is None:
+            assert isinstance(whole[0], list)
+        else:
+            assert whole[0] == ("ValueError" if "float" in error else "PreconditionError")
+            assert whole[1].startswith(error)
+        for chunk in range(1, 12):
+            monkeypatch.setattr(grids, "_READ_CHUNK", chunk)
+            with _TokenReader(path, "grid") as reader:
+                assert reader.take(len(expected)) == expected
+                assert reader.at_end()
+            assert _outcome(read_grid, path) == whole
+
+    def test_generator_line_is_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "grid.txt"
+        path.write_text(_CHUNK_EDGE_CASES["generator"][0])
+        monkeypatch.setattr(grids, "_READ_CHUNK", 3)
+        assert read_grid(path)[1].power_alpha == 0.5
+
+    def test_candidate_reads_equal_the_whole_file_read(self, tmp_path, monkeypatch):
+        text = (FIXTURE_DIR / "candidate_control_x13.txt").read_text()
+        # a comment and odd line ends inside the header, a hex value after it
+        text = text.replace("\np ", " # note\x0bp ", 1).replace("\nr ", "\r\nr ", 1)
+        values = text.index("\n", text.index("values ")) + 1
+        path = tmp_path / "candidate.txt"
+        path.write_text(text[:values] + "0x1.8p+1 " + text[values:].split(None, 1)[1], newline="")
+        monkeypatch.setattr(grids, "_READ_CHUNK", 1 << 20)
+        whole = _outcome(read_candidate, path)
+        assert isinstance(whole[0], list)
+        for chunk in (1, 2, 5, 64):
+            monkeypatch.setattr(grids, "_READ_CHUNK", chunk)
+            assert _outcome(read_candidate, path) == whole
+
+    def test_count_beyond_the_file_is_truncated(self, tmp_path):
+        path = tmp_path / "grid.txt"
+        path.write_text(_GRID_HEAD.replace(" 3", " 10000000000000000") + "0 zz\n")
+        with pytest.raises(PreconditionError, match="truncated grid file"):
+            read_grid(path)
+
+
+class TestFileMemory:
+    """Files are read and written a chunk at a time: memory is the arrays plus one chunk."""
+
+    # one 64 KiB chunk's text and tokens take about 0.8 MiB, and so do the
+    # checks of a measure's constructor on 1e5 cells
+    ALLOWANCE = 2**20
+
+    @staticmethod
+    def _peak(fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture
+    def grid_1e5(self, tmp_path):
+        rng = np.random.default_rng(4)
+        n = 10**5
+        pair = GridMeasure((np.linspace(0.0, 1.0, n + 1),), np.exp(rng.normal(0.0, 1.0, n))), \
+            WeightGrid(np.exp(rng.normal(0.0, 1.0, n)))
+        return tmp_path / "grid.txt", pair
+
+    def test_write_grid_peaks_below_1_mib(self, grid_1e5):
+        path, pair = grid_1e5
+        # whole-file text: 18.0 MiB
+        assert self._peak(write_grid, path, *pair)[0] <= 2**20
+
+    def test_read_grid_holds_its_arrays_and_one_chunk(self, grid_1e5):
+        path, pair = grid_1e5
+        write_grid(path, *pair)
+        # whole-file text and tokens: 26.9 MiB
+        peak, (measure, weight) = self._peak(read_grid, path)
+        arrays = (*measure.breakpoints, measure.mass, weight.values)
+        assert peak <= sum(a.nbytes for a in arrays) + self.ALLOWANCE
+
+    def test_read_candidate_holds_its_arrays_and_one_chunk(self, tmp_path):
+        cand = read_candidate(FIXTURE_DIR / "candidate_ap_p2_r12_Q2.txt")
+        xi, eta = cand.table.xi, cand.table.eta
+        table = CandidateTable(
+            xi=np.linspace(xi[0], xi[-1], 400), eta=np.linspace(eta[0], eta[-1], 250),
+            values=np.exp(np.random.default_rng(5).normal(0.0, 1.0, (400, 250))),
+        )
+        path = tmp_path / "candidate.txt"
+        write_candidate(path, BellmanCandidate.from_table(cand.kind, cand.p, cand.r, cand.Q, table))
+        peak, again = self._peak(read_candidate, path)
+        assert np.array_equal(again.table.values, table.values)
+        arrays = (again.table.xi, again.table.eta, again.table.values)
+        assert peak <= sum(a.nbytes for a in arrays) + self.ALLOWANCE
 
 
 class TestPrecisionCertificate:
