@@ -559,11 +559,14 @@ class _TokenReader:
 
         A parse error is raised only once the n tokens are known to exist,
         so a truncated block reports the truncation; so does a count the
-        file cannot hold, before anything is allocated for it.
+        file cannot hold, before anything is allocated for it.  A negative
+        count is refused.
         """
+        if n < 0:
+            raise PreconditionError(f"negative count {n} in {self.kind} file {self.path}")
         if n > self._max_tokens:
             raise PreconditionError(f"truncated {self.kind} file {self.path}")
-        out = np.empty(max(n, 0))
+        out = np.empty(n)
         done, error = 0, None
         while done < n:
             toks = self._next(n - done)

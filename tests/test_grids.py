@@ -694,20 +694,30 @@ def _outcome(read, path):
 
 _GRID_HEAD = "grid 1\ndim 1\nbreakpoints 0 3\n"
 
-# case -> (file text, the start of the error read_grid raises on it, or None)
+# case -> (file text, the start of the error read_grid raises on it or None,
+#          the power_alpha of the weight read)
 _CHUNK_EDGE_CASES = {
     "line ends": (
         "# head\ngrid 1 # c\x0cdim 1\x0bbreakpoints 0 3 #x\x1c0 0.5\x1d1 #y\x1e\x85mass 2"
         "\u2028 0.5 #z\u2029 0.5\r\nvalues 2\r1 2 # tail",
-        None,
+        None, None,
     ),
-    "crlf and lone cr": (_GRID_HEAD.replace("\n", "\r\n") + "0 0.5 1\rmass 2\r\r0.5 0.5 #\r\nvalues 2\r1 2\r", None),
-    "no trailing newline": (_GRID_HEAD + "0 0.5 1\nmass 2\n0.5 0.5\nvalues 2\n1 2", None),
-    "long line": ("grid 1 dim 1 breakpoints 0 3 0 0.5 1 mass 2 0.5 0.5 values 2 1 2\n", None),
-    "hex in second chunk": (_GRID_HEAD + "0 0x1p-1 1\nmass 2\n0x1p-1 0.5\nvalues 2\n1.0 0x1.8p+1\n", None),
-    "bad token": (_GRID_HEAD + "0 0.5 1\nmass 2\n0.5 0.5\nvalues 2\n1 zz\n", "could not convert string to float: 'zz'"),
-    "truncated and bad": (_GRID_HEAD + "0 zz\n# one short\n", "truncated grid file"),
-    "generator": (_GRID_HEAD + "0 0.5 1\nmass 2\n0.5 0.5\nvalues 2\n1 2\ngenerator power 0.5 # g\n", None),
+    "crlf and lone cr": (
+        _GRID_HEAD.replace("\n", "\r\n") + "0 0.5 1\rmass 2\r\r0.5 0.5 #\r\nvalues 2\r1 2\r", None, None,
+    ),
+    "no trailing newline": (_GRID_HEAD + "0 0.5 1\nmass 2\n0.5 0.5\nvalues 2\n1 2", None, None),
+    "long line": ("grid 1 dim 1 breakpoints 0 3 0 0.5 1 mass 2 0.5 0.5 values 2 1 2\n", None, None),
+    "hex in second chunk": (
+        _GRID_HEAD + "0 0x1p-1 1\nmass 2\n0x1p-1 0.5\nvalues 2\n1.0 0x1.8p+1\n", None, None,
+    ),
+    "bad token": (
+        _GRID_HEAD + "0 0.5 1\nmass 2\n0.5 0.5\nvalues 2\n1 zz\n", "could not convert string to float: 'zz'", None,
+    ),
+    "truncated and bad": (_GRID_HEAD + "0 zz\n# one short\n", "truncated grid file", None),
+    "negative count": (_GRID_HEAD + "0 0.5 1\nmass -2\n0.5 0.5\n", "negative count -2 in grid file", None),
+    "generator": (
+        _GRID_HEAD + "0 0.5 1\nmass 2\n0.5 0.5\nvalues 2\n1 2\ngenerator power 0.5 # g\n", None, 0.5,
+    ),
 }
 
 
@@ -716,7 +726,7 @@ class TestChunkBoundaries:
 
     @pytest.mark.parametrize("case", sorted(_CHUNK_EDGE_CASES))
     def test_grid_reads_equal_the_whole_file_read(self, tmp_path, monkeypatch, case):
-        text, error = _CHUNK_EDGE_CASES[case]
+        text, error, power_alpha = _CHUNK_EDGE_CASES[case]
         path = tmp_path / "grid.txt"
         path.write_text(text, newline="")
         with open(path) as handle:
@@ -725,6 +735,7 @@ class TestChunkBoundaries:
         whole = _outcome(read_grid, path)
         if error is None:
             assert isinstance(whole[0], list)
+            assert whole[1] == power_alpha
         else:
             assert whole[0] == ("ValueError" if "float" in error else "PreconditionError")
             assert whole[1].startswith(error)
@@ -734,12 +745,6 @@ class TestChunkBoundaries:
                 assert reader.take(len(expected)) == expected
                 assert reader.at_end()
             assert _outcome(read_grid, path) == whole
-
-    def test_generator_line_is_read(self, tmp_path, monkeypatch):
-        path = tmp_path / "grid.txt"
-        path.write_text(_CHUNK_EDGE_CASES["generator"][0])
-        monkeypatch.setattr(grids, "_READ_CHUNK", 3)
-        assert read_grid(path)[1].power_alpha == 0.5
 
     def test_candidate_reads_equal_the_whole_file_read(self, tmp_path, monkeypatch):
         text = (FIXTURE_DIR / "candidate_control_x13.txt").read_text()
