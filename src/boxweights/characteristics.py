@@ -37,13 +37,19 @@ double-double entries h + l: runs of consecutive leading ranges in
 lexicographic order within a fixed entry budget (in 1-D, the tables), which
 bounds their memory on every axis.  The boxes of a column are its (a, b)
 pairs, a < b.  A tile of side s (a power of two) holds the pairs with a in
-[i s, (i + 1) s) and b - 1 in [j s, (j + 1) s), i <= j.  Tiles go from one
-per column down to leaves of _TILE a side, each split into its (up to) four
-quarters.  Every tile evaluates its largest box [a_lo, b_hi) and, off the
-diagonal, its smallest box [a_hi, b_lo) exactly and offers them to the
-incumbent, then gets the bound U below and is dropped when U is below the
-incumbent; the leaves left are screened (below) and evaluated exactly, the
-tile of the best screen first.  Every value is the exact pass's: sums
+[i s, (i + 1) s) and b - 1 in [j s, (j + 1) s), i <= j.  Tiles are bounded
+in steps of at most _TILE_CHUNK, coarse to fine, down to leaves of _TILE a
+side.  The tiles a step keeps go straight to the finest side s' (a power of
+two, at least the leaf's) at which all their children (k, f i + di, f j +
+dj), f = s / s', fit one step, or to half their side when none does; the
+first steps hold the children of one tile of side 2 top per column, top the
+power of two at or above the column's cell count.  Every tile evaluates its
+largest box [a_lo, b_hi) and, off the diagonal, its smallest box [a_hi,
+b_lo) exactly and offers them to the incumbent, then gets the bound U below
+and is dropped when U is below the incumbent; the leaves left are evaluated
+exactly, first screened (below) when they exceed one batch, the tile of the
+best screen first.  The bound holds for any aligned power-of-two tile, so
+the schedule only orders the offers.  Every value is the exact pass's: sums
 dd_sub_rounded(h_b, l_b, h_a, l_a) and _vec_values, as in the exhaustive
 scan.  Skipped boxes all have values below the final supremum, and the tie
 rule does not depend on the order of the offers, so value, argmax and box
@@ -101,6 +107,7 @@ every intermediate normal.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -125,8 +132,9 @@ class CharacteristicReport:
     changes value, argmax_box or boxes_scanned: they equal those of the
     exhaustive exact scan.  exact_boxes counts the boxes of the leaf tiles
     evaluated in double-double (not the tile corners the bounds read); it is
-    a diagnostic, enters no CSV, and can change with the stack layout, which
-    orders the offers to the incumbent.
+    a diagnostic, enters no CSV, and can change with the stack layout and
+    the tile schedule (the step size _TILE_CHUNK, and the screen of leaves
+    beyond one batch), which order the offers to the incumbent.
     """
 
     kind: ClassKind
@@ -269,13 +277,15 @@ def q_scan(measure, weight, kind: ClassKind, q_list, tables=None) -> list[ScanEn
 
 # Leaf tiles are _TILE x _TILE (a, b) pairs of one leading range; a batch
 # of leaves holds about _LEAF_BLOCK box values, and a bounding step at most
-# _TILE_CHUNK tiles.  A stack holds at most _STACK_BLOCK prefix entries per
+# _TILE_CHUNK tiles.  A step costs about 65 us whatever its size, plus 0.12
+# us a tile up to 1024 tiles and 0.3 us beyond (2-vCPU Xeon, numpy 2.4), so
+# steps of 1024 tiles take the fewest rounds at the lowest cost a tile.  A stack holds at most _STACK_BLOCK prefix entries per
 # table (or one column), about 800 KB whatever the number of axes.  Reducing
 # _REDUCE_BLOCK entries at a time keeps the temporaries near 50 KB: in cache,
 # and reused by the allocator instead of faulted in afresh for every stack.
 _TILE = 8
 _LEAF_BLOCK = 1 << 12
-_TILE_CHUNK = 1 << 9
+_TILE_CHUNK = 1 << 10
 _STACK_BLOCK = 1 << 14
 _REDUCE_BLOCK = 1 << 11
 # Unit roundoff, and the relative error allowed for np.power: 2**-44 is
@@ -412,43 +422,31 @@ def _columns(HL, pairs, g0, g1):
 class _Stack:
     """One stack (2, 3, n + 1, K) and what the tile bounds and the screen read from it.
 
-    count is the number of positive-mass boxes; the tiles run from one of
-    ``top`` cells a side (a power of two) down to ``leaf``.
+    count is the number of positive-mass boxes; the tiles run from at most
+    ``top`` cells a side (a power of two) down to ``leaf``.  The ratio
+    maxima of a tile side and the screen factors are built when first read.
     """
 
     def __init__(self, hl, kind, q):
         self.n, self.cols = hl.shape[2] - 1, hl.shape[3]
-        self.flat = hl.reshape(2, 3, -1)
+        self.hl, self.flat = hl, hl.reshape(2, 3, -1)
         self.top = 1 << (self.n - 1).bit_length()
         self.leaf = min(_TILE, self.top)
-        e = q - 1.0 if kind is ClassKind.MUCKENHOUPT_A else 1.0 / q
+        self.e = q - 1.0 if kind is ClassKind.MUCKENHOUPT_A else 1.0 / q
         h, l = hl
-        # exact single-cell sums of the mass, w and w**s2 columns, each (n, K)
-        m, sw, ss = (dd_sub_rounded(h[r, 1:], l[r, 1:], h[r, :-1], l[r, :-1]) for r in range(3))
-        self.count = _positive_boxes(m > 0.0)
-        ratios, bad = _cell_ratios(kind, e, m, sw, ss, h[:, -1].max())
-        # maxima of the ratios over aligned blocks of leaf, 2 leaf, ... cells
-        side, level = self.leaf, np.zeros((2, self.top, self.cols))
-        level[:, : self.n] = ratios
-        self.blocks = {}
-        while side <= self.top:
-            level = level.reshape(2, -1, side if side == self.leaf else 2, self.cols).max(axis=2)
-            self.blocks[side] = level
-            side *= 2
+        # exact single-cell sums (3, n, K) of the mass, w and w**s2 columns,
+        # a row at a time to keep the temporaries small
+        cells = np.empty((3, self.n, self.cols))
+        for r in range(3):
+            cells[r] = dd_sub_rounded(h[r, 1:], l[r, 1:], h[r, :-1], l[r, :-1])
+        self.count = _positive_boxes(cells[0] > 0.0)
+        # maxima of the cell ratios over aligned blocks of leaf cells, the
+        # ratios padded with 0 to top cells; the other sides are reduced from these
+        level = np.zeros((2, self.top, self.cols))
+        bad = _cell_ratios(kind, self.e, cells, h[:, -1].max(), level[:, : self.n])
+        self.blocks = {self.leaf: level.reshape(2, -1, self.leaf, self.cols).max(axis=2)}
         # columns whose tiles are never bounded
         self.unbounded = bad.any(axis=0)
-        # The screen: the hi-only sums of a column are off by at most its
-        # low parts against its smallest hi-only cell sum; shape (3, K).
-        lows = 2.0 * np.maximum(l.max(axis=1), -l.min(axis=1))
-        rho = lows / np.array([(x[1:] - x[:-1]).min(axis=0) for x in h]) * (1.0 + 2.0**-48) + 2.0**-50
-        g = np.dot([2.0 + 2.0 * e, 2.0, e], rho) + (5.0 * e + 10.0) * _U + 3.0 * _POW_ERR
-        ok = (rho <= _G_MAX).all(axis=0) & (g <= _G_MAX)
-        self.screen = np.where(ok, 1.0 + 2.0 * g + 2.0**-45, np.inf)
-        # (a, b) offsets of the boxes of a diagonal leaf tile, packed, and of
-        # any other, as a broadcast pair; the tiles run along the last axis
-        r = np.arange(self.leaf)
-        diagonal = [x[:, None] for x in np.nonzero(r[:, None] <= r)]
-        self.patterns = [diagonal, [r[:, None, None], r[None, :, None]]]
 
     def entries(self, part, k, x):
         """Hi (part 0) or lo (part 1) prefix entries x of columns k, shape (3, ...)."""
@@ -461,8 +459,31 @@ class _Stack:
 
     def extremes(self, k, i, j, side):
         """Ratio maxima (2, tiles) over the cells a box of tile (k, i, j) holds beyond its smallest box."""
-        level = self.blocks[side]
+        level = self.blocks.get(side)
+        if level is None:
+            level = self.blocks[side] = self.blocks[self.leaf].reshape(2, -1, side // self.leaf, self.cols).max(axis=2)
         return np.maximum(level[:, i, k], level[:, j, k])
+
+    @functools.cached_property
+    def screen(self):
+        """Per column, the factor of the float screen (see the module docstring), +inf where there is none."""
+        # The hi-only sums of a column are off by at most its low parts
+        # against its smallest hi-only cell sum; shape (3, K).
+        h, l = self.hl
+        lows = 2.0 * np.maximum(l.max(axis=1), -l.min(axis=1))
+        rho = lows / (h[:, 1:] - h[:, :-1]).min(axis=1) * (1.0 + 2.0**-48) + 2.0**-50
+        e = self.e
+        g = np.dot([2.0 + 2.0 * e, 2.0, e], rho) + (5.0 * e + 10.0) * _U + 3.0 * _POW_ERR
+        ok = (rho <= _G_MAX).all(axis=0) & (g <= _G_MAX)
+        return np.where(ok, 1.0 + 2.0 * g + 2.0**-45, np.inf)
+
+
+@functools.lru_cache(maxsize=None)
+def _leaf_patterns(leaf):
+    """(a, b) offsets of the boxes of a diagonal leaf tile, packed, and of any other, as a broadcast pair."""
+    r = np.arange(leaf)
+    diagonal = [x[:, None] for x in np.nonzero(r[:, None] <= r)]
+    return [diagonal, [r[:, None, None], r[None, :, None]]]
 
 
 def _branch_and_bound(stack, lead, kind, q, best):
@@ -470,13 +491,15 @@ def _branch_and_bound(stack, lead, kind, q, best):
 
     Tiles of (a, b) pairs of one column, coarse to fine, are bounded by
     _tile_bound and dropped when the bound is below the incumbent; the
-    leaves that remain are evaluated exactly.  Returns the count of boxes
+    leaves that remain are evaluated exactly.  The tiles start as the
+    children of one tile of side 2 top per column (never bounded), and each
+    step's survivors are refined by _refine.  Returns the count of boxes
     evaluated at the leaves.
     """
     n, cols, leaf = stack.n, stack.cols, stack.leaf
     exact = 0
     zero = np.zeros(cols, dtype=np.intp)
-    work = [(stack.top, np.arange(cols), zero, zero)]
+    work = _refine(n, leaf, 2 * stack.top, np.arange(cols), zero, zero)
     while work:
         side, k, i, j = work.pop()
         a_lo, b_lo = i * side, j * side + 1
@@ -495,34 +518,67 @@ def _branch_and_bound(stack, lead, kind, q, best):
         k, i, j = k[keep], i[keep], j[keep]
         if side == leaf:
             exact += _leaves(stack, lead, kind, q, best, k, i, j, bound[keep])
-            continue
-        half = side // 2
-        k = (k[:, None] + [0, 0, 0, 0]).ravel()
-        i, j = (2 * i[:, None] + [0, 0, 1, 1]).ravel(), (2 * j[:, None] + [0, 1, 0, 1]).ravel()
-        ok = (i <= j) & (j * half < n)
-        k, i, j = k[ok], i[ok], j[ok]
-        for s in reversed(range(0, len(k), _TILE_CHUNK)):
-            work.append((half, k[s : s + _TILE_CHUNK], i[s : s + _TILE_CHUNK], j[s : s + _TILE_CHUNK]))
+        elif len(k):
+            work += _refine(n, leaf, side, k, i, j)
     return exact
+
+
+@functools.lru_cache(maxsize=None)
+def _child_offsets(f):
+    """Offsets (di, dj) of the f * f children of a tile, as columns against tiles along the last axis."""
+    return tuple(x.reshape(-1, 1) for x in np.divmod(np.arange(f * f), f))
+
+
+def _refine(n, leaf, side, k, i, j):
+    """Children of the tiles (k, i, j) of ``side``, as bounding steps (side', k, i, j), last step first.
+
+    The children have the finest side s' = side / f, f a power of two, at
+    least leaf, at which they fit one step of _TILE_CHUNK tiles, and side /
+    2 when none does: tile (k, i, j) has the children (k, f i + di, f j +
+    dj), 0 <= di, dj < f, with i' <= j' and j' s' < n.
+    """
+    f = 2
+    if side // 4 >= leaf:
+        # A diagonal tile has f (f + 1) / 2 children and any other f * f, in
+        # f block rows, except in the last block row, where n leaves r of them.
+        last, diagonal = j == (n - 1) // side, i == j
+        on_last, on, in_last = np.count_nonzero(diagonal & last), np.count_nonzero(diagonal), np.count_nonzero(last)
+        tiles = (on_last, on - on_last, in_last - on_last, len(k) - on - in_last + on_last)
+
+        def children(f):
+            r = -(-n // (side // f)) - f * ((n - 1) // side)
+            return sum(x * y for x, y in zip(tiles, (r * (r + 1) // 2, f * (f + 1) // 2, f * r, f * f)))
+
+        while side // (2 * f) >= leaf and children(2 * f) <= _TILE_CHUNK:
+            f *= 2
+    side //= f
+    di, dj = _child_offsets(f)
+    ci, cj = f * i + di, f * j + dj
+    t, c = np.divmod(np.flatnonzero(((ci <= cj) & (cj * side < n)).T), f * f)
+    k, i, j = k[t], ci[c, t], cj[c, t]
+    return [(side, k[s : s + _TILE_CHUNK], i[s : s + _TILE_CHUNK], j[s : s + _TILE_CHUNK]) for s in reversed(range(0, len(k), _TILE_CHUNK))]
 
 
 def _leaves(stack, lead, kind, q, best, k, i, j, bound):
     """Exact values of every box of the leaf tiles (k, i, j) that can reach the incumbent.
 
-    Tiles whose bound is not within 2**-20 of the incumbent are first
-    screened on their float values (see the module docstring).  The tile of
-    the best screen is evaluated first, to raise the incumbent, then the
-    others in batches, each only while its screen bound is not below the
-    incumbent.  Returns the count of boxes evaluated exactly.
+    Diagonal and other tiles go separately.  Tiles of at most one batch of
+    boxes are evaluated together.  Of more, those whose bound is not within 2**-20 of
+    the incumbent are first screened on their float values (see the module
+    docstring); the tile of the best screen is evaluated first, to raise the
+    incumbent, then the others in batches, each only while its screen bound
+    is not below the incumbent.  Returns the count of boxes evaluated
+    exactly.
     """
     n, leaf = stack.n, stack.leaf
     exact = 0
     diagonal = i == j
-    for (ra, rb), on in zip(stack.patterns, (True, False)):
+    for (ra, rb), on in zip(_leaf_patterns(leaf), (True, False)):
         sel = np.flatnonzero(diagonal == on)
         if not len(sel):
             continue
-        per = max(1, _LEAF_BLOCK // (len(ra) if on else leaf * leaf))
+        size = len(ra) if on else leaf * leaf
+        per = max(1, _LEAF_BLOCK // size)
         # screen starts as the tile bound and is lowered where a screen is proven
         kk, a_lo, b_lo, screen = k[sel], i[sel] * leaf, j[sel] * leaf + 1, bound[sel]
 
@@ -534,7 +590,10 @@ def _leaves(stack, lead, kind, q, best, k, i, j, bound):
                 a, b = np.minimum(a, n), np.where(b <= n, b, 0)
             return kk[t], a, b
 
-        loose = np.flatnonzero((screen >= best.value * (1.0 + 2.0**-20)) & (screen < np.inf))
+        # Tiles of more boxes than one batch are screened first, and the tile
+        # of the best screen is evaluated alone; one batch is evaluated as it is.
+        many = len(sel) * size > _LEAF_BLOCK
+        loose = np.flatnonzero(many & (screen >= best.value * (1.0 + 2.0**-20)) & (screen < np.inf))
         for s in range(0, len(loose), per):
             t = loose[s : s + per]
             c, a, b = boxes(t)
@@ -545,7 +604,7 @@ def _leaves(stack, lead, kind, q, best, k, i, j, bound):
         order = np.arange(len(screen))
         first = int(np.argmax(screen))
         order[[0, first]] = order[[first, 0]]
-        edges = [0, *range(1, len(order), per), len(order)]
+        edges = [0, *range(1 if many else per, len(order), per), len(order)]
         for s, e in zip(edges[:-1], edges[1:]):
             t = order[s:e]
             t = t[screen[t] >= best.value]
@@ -565,25 +624,30 @@ def _positive_boxes(positive):
     return int((n - first).sum())
 
 
-def _cell_ratios(kind, e, m, sw, ss, total):
-    """Per cell, the two ratios whose maxima bound the values, and the cells that forbid a bound.
+def _cell_ratios(kind, e, cells, total, ratios):
+    """Per cell, the two ratios whose maxima bound the values, into ``ratios``; returns the cells that forbid a bound.
 
-    The ratios (2, n, K) are (sw/m, ss/m) for ap and (m/sw, ss/m) for rh,
-    0 on zero-mass cells.  A positive-mass cell forbids a bound where it
-    could take an intermediate out of the normal range: a sum outside
-    [2**-960, 2**960] (a lost moment cell is one), a ratio outside
-    2**+-500, or ss/m outside 2**+-(500 / max(e, 1)), or where the largest
-    stack total exceeds 2**960.
+    ``cells`` holds the cell sums (3, n, K) of the mass, w and w**s2.  The
+    ratios (2, n, K) are (sw/m, ss/m) for ap and (m/sw, ss/m) for rh, 0 on
+    zero-mass cells.  A positive-mass cell forbids a bound where it could
+    take an intermediate out of the normal range: a sum outside [2**-960,
+    2**960] (a lost moment cell is one), a ratio outside 2**+-500, or ss/m
+    outside 2**+-(500 / max(e, 1)), or where the largest stack total
+    exceeds 2**960.
     """
-    ratios = np.stack([sw / m if kind is ClassKind.MUCKENHOUPT_A else m / sw, ss / m])
+    m, sw, ss = cells
+    if kind is ClassKind.MUCKENHOUPT_A:
+        np.divide(sw, m, out=ratios[0])
+    else:
+        np.divide(m, sw, out=ratios[0])
+    np.divide(ss, m, out=ratios[1])
     lim = 2.0 ** (_LOG2_LIMIT / max(e, 1.0))
-    good = (ratios[0] > 2.0**-_LOG2_LIMIT) & (ratios[0] < 2.0**_LOG2_LIMIT) & (ratios[1] > 1.0 / lim) & (ratios[1] < lim)
-    for x in (m, sw, ss):
-        good &= (x >= 1.0 / _SUM_LIMIT) & (x <= _SUM_LIMIT)
+    lo, hi = (np.array(x)[:, None, None] for x in ((2.0**-_LOG2_LIMIT, 1.0 / lim), (2.0**_LOG2_LIMIT, lim)))
+    good = ((ratios > lo) & (ratios < hi)).all(axis=0) & ((cells >= 1.0 / _SUM_LIMIT) & (cells <= _SUM_LIMIT)).all(axis=0)
     positive = m > 0.0
     good &= positive & (total <= _SUM_LIMIT)
     ratios[:, ~good] = 0.0
-    return ratios, positive & ~good
+    return positive & ~good
 
 
 def _tile_bound(kind, q, big, small, extremes):

@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 precondition violation, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -410,7 +411,13 @@ def cmd_export_csv(args) -> int:
 # ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it takes far longer than parsing.
+
+    No argument has a mutable default, and parse_args leaves the parser as
+    it was, so every call of main() parses with the same tree.
+    """
     parser = argparse.ArgumentParser(
         prog="boxweights",
         description="Sharp exponents, box characteristics and splitting experiments "

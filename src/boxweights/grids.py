@@ -57,6 +57,13 @@ class BoxIdx:
                 raise PreconditionError(f"empty or negative index range in {self.ranges}")
 
     @classmethod
+    def checked(cls, ranges) -> "BoxIdx":
+        """The box of ``ranges``, a tuple of (a, b) int pairs already known to hold 0 <= a < b; no re-check."""
+        box = object.__new__(cls)
+        object.__setattr__(box, "ranges", ranges)
+        return box
+
+    @classmethod
     def full(cls, shape) -> "BoxIdx":
         return cls(tuple((0, int(m)) for m in shape))
 

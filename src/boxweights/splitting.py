@@ -195,12 +195,13 @@ class SplitChoice:
 
 
 def _split_box(box: BoxIdx, axis: int, index: int) -> tuple[BoxIdx, BoxIdx]:
-    a, b = box.ranges[axis]
-    left = list(box.ranges)
-    right = list(box.ranges)
-    left[axis] = (a, index)
-    right[axis] = (index, b)
-    return BoxIdx(tuple(left)), BoxIdx(tuple(right))
+    """The children [a, index) and [index, b) of ``box`` on ``axis``; BoxIdx's error unless a < index < b."""
+    ranges, index = box.ranges, int(index)
+    a, b = ranges[axis]
+    left, right = (ranges[:axis] + (r,) + ranges[axis + 1 :] for r in ((a, index), (index, b)))
+    if not a < index < b:
+        raise PreconditionError(f"empty or negative index range in {left if index <= a else right}")
+    return BoxIdx.checked(left), BoxIdx.checked(right)
 
 
 def _single_cell(box: BoxIdx, axis: int) -> InfeasibleSplitError:

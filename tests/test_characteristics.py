@@ -438,9 +438,10 @@ class TestStackMemory:
     def test_1d_scan_reads_the_tables_in_place(self):
         measure, weight = power_weight_grid(0.5, 2**18)
         tables = PrefixTables(measure, weight, (1.0, second_moment_exponent(A, 1.6)))
-        # The scan's own arrays peak at 26.75 MiB; a copy of the six
-        # 2 MiB tables into a stack would add 12 MiB.
-        assert self._peak(measure, weight, A, 1.6, tables) <= 26.8 * 2**20
+        # The scan's own arrays peak at 24.0 MiB (the cell ratios are
+        # written into the padded block buffer); a copy of the six 2 MiB
+        # tables into a stack would add 12 MiB.
+        assert self._peak(measure, weight, A, 1.6, tables) <= 24.1 * 2**20
 
 
 class TestSecondMomentExponent:
@@ -473,12 +474,13 @@ def full_sweep(measure, weight, kind, q):
 
 def assert_matches_sweep(measure, weight, kind, q):
     report = characteristic(measure, weight, kind, q)
+    # Leaves of more boxes than one batch are screened: with an empty batch
+    # every leaf tile is, and each is evaluated alone.
+    with mock.patch.object(characteristics, "_LEAF_BLOCK", 0):
+        screened = characteristic(measure, weight, kind, q)
     sweep = full_sweep(measure, weight, kind, q)
-    assert (report.value, report.argmax_box, report.boxes_scanned) == (
-        sweep.value,
-        sweep.argmax_box,
-        sweep.boxes_scanned,
-    )
+    for got in (report, screened):
+        assert (got.value, got.argmax_box, got.boxes_scanned) == (sweep.value, sweep.argmax_box, sweep.boxes_scanned)
     # the sweep evaluates every box of the grid once
     assert sweep.exact_boxes == math.prod(n * (n + 1) // 2 for n in measure.shape)
     assert 0 <= report.exact_boxes <= sweep.exact_boxes
@@ -573,7 +575,9 @@ class TestTileBranchAndBound:
         measure, weight = _grid(mass, rng.uniform(0.5, 2.0, 31))
         assert PrefixTables(measure, weight).precision_margin() < 1.0
         report = assert_matches_sweep(measure, weight, kind, 2.5)
-        assert report.exact_boxes > report.boxes_scanned // 2
+        # every leaf tile screened: the screen refuses them all the same
+        with mock.patch.object(characteristics, "_LEAF_BLOCK", 0):
+            assert characteristic(measure, weight, kind, 2.5).exact_boxes > report.boxes_scanned // 2
         value, box, count = naive_characteristic(measure, weight, kind, 2.5)
         assert (report.value, report.argmax_box, report.boxes_scanned) == (value, box, count)
 
@@ -657,3 +661,89 @@ class TestTileBranchAndBound:
         report = characteristic(measure, weight, probe, q)
         assert report.boxes_scanned == 2048 * 2049 // 2
         assert report.exact_boxes <= 0.01 * report.boxes_scanned
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 20], ids=["one-tile", "three-tiles", "unbounded"])
+    def test_any_step_size_matches_sweep(self, chunk, monkeypatch):
+        # One tile a step refines by halves throughout; an unbounded step
+        # goes from the whole column straight to the leaves.
+        monkeypatch.setattr(characteristics, "_TILE_CHUNK", chunk)
+        rng = np.random.default_rng(15)
+        runs = rng.uniform(0.2, 1.0, 60) * (rng.random(60) > 0.3)
+        runs[0] = 1.0
+        grids = [
+            _grid(rng.uniform(0.1, 1.0, 70), np.exp(rng.normal(0.0, 1.2, 70))),
+            _grid(np.ones((9, 13)), rng.choice([1.0, 2.0, 4.0], (9, 13))),  # ties
+            _grid(np.ones(40), np.full(40, 2.7)),  # constant weight
+            _grid(runs.reshape(3, 4, 5), rng.uniform(0.3, 3.0, (3, 4, 5))),  # zero-mass runs
+        ]
+        for (measure, weight), kind, q in zip(grids, (A, RH, A, RH), (1.8, 2.5, 2.0, 1.6)):
+            assert_matches_sweep(measure, weight, kind, q)
+        # a grid of several stacks: 21 columns of 31 entries, 3 columns a stack
+        monkeypatch.setattr(characteristics, "_STACK_BLOCK", 100)
+        measure, weight = _grid(rng.uniform(0.1, 1.0, (6, 30)), np.exp(rng.normal(0.0, 1.0, (6, 30))))
+        assert_matches_sweep(measure, weight, A, 2.2)
+
+    @pytest.mark.parametrize("cells, most", [(256, 2), (2048, 5)])
+    @pytest.mark.parametrize("probe, alpha, q", [(A, 0.5, 1.5), (A, 0.5, 1.6), (RH, -0.5, 2.0)], ids=["ap-critical", "ap-inside", "rh"])
+    def test_power_ladder_scans_in_few_rounds(self, cells, most, probe, alpha, q):
+        # Each round bounds one step of tiles; a step refines its survivors
+        # straight to the finest side that fits the next step.
+        measure, weight = power_weight_grid(alpha, cells)
+        with mock.patch.object(characteristics, "_tile_bound", wraps=characteristics._tile_bound) as bound:
+            characteristic(measure, weight, probe, q)
+        assert 1 <= bound.call_count <= most
+
+    def test_bound_holds_on_every_tile_of_every_side(self):
+        # The schedule may bound a tile of any side, so U must cover every
+        # exact value of every aligned tile, leaf to top.
+        rng = np.random.default_rng(16)
+        for trial in range(12):
+            n = int(rng.integers(9, 70))
+            measure, weight = _grid(rng.uniform(0.1, 1.0, n), np.exp(rng.normal(0.0, 1.5, n)))
+            kind, q = (A, float(rng.uniform(1.3, 3.0))) if trial % 2 else (RH, float(rng.uniform(1.5, 6.0)))
+            tables = PrefixTables(measure, weight, (1.0, second_moment_exponent(kind, q)))
+            tabs = (tables.mass_table, tables.table(1.0), tables.table(second_moment_exponent(kind, q)))
+            ((hl, _),) = characteristics._stacks(np.array([[h for h, _ in tabs], [l for _, l in tabs]]))
+            stack = characteristics._Stack(hl, kind, q)
+            a, b = np.triu_indices(n + 1, k=1)
+            with np.errstate(all="ignore"):
+                values = characteristics._vec_values(kind, q, *stack.sums(0, a, b))
+            side = stack.leaf
+            while side <= stack.top:
+                i, j = np.triu_indices(-(-n // side))
+                a_lo, b_lo = i * side, j * side + 1
+                a_hi, b_hi = np.minimum(a_lo + side, n) - 1, np.minimum(b_lo - 1 + side, n)
+                corners = stack.sums(0, np.stack([a_lo, a_hi]), np.stack([b_hi, b_lo]))
+                corners[:, 1, a_hi >= b_lo] = np.nan
+                with np.errstate(all="ignore"):
+                    bound = characteristics._tile_bound(kind, q, corners[:, 0], corners[:, 1], stack.extremes(0, i, j, side))
+                for t in range(len(i)):
+                    inside = (a // side == i[t]) & ((b - 1) // side == j[t])
+                    assert np.nanmax(values[inside]) <= bound[t], (trial, side, i[t], j[t])
+                side *= 2
+
+    def test_refine_goes_to_the_finest_side_that_fits_a_step(self, monkeypatch):
+        def children(n, side, f, tiles):
+            return [(k, f * i + di, f * j + dj) for k, i, j in tiles for di in range(f) for dj in range(f)
+                    if f * i + di <= f * j + dj and (f * j + dj) * (side // f) < n]
+
+        rng = np.random.default_rng(17)
+        for trial in range(300):
+            chunk = int(rng.choice([1, 3, 16, 100, 1024]))
+            monkeypatch.setattr(characteristics, "_TILE_CHUNK", chunk)
+            n = int(rng.integers(1, 3000))
+            top = 1 << (n - 1).bit_length()
+            leaf = min(8, top)
+            side = 2 * top >> int(rng.integers(0, (2 * top // leaf).bit_length() - 1))
+            i = rng.integers(0, -(-n // side), int(rng.integers(1, 40)))
+            j = np.maximum(i, rng.integers(0, -(-n // side), len(i)))
+            tiles = list(zip(rng.integers(0, 5, len(i)).tolist(), i.tolist(), j.tolist()))
+            # halve at least once, then while the children still fit one step
+            f = 2
+            while side // (2 * f) >= leaf and len(children(n, side, 2 * f, tiles)) <= chunk:
+                f *= 2
+            steps = characteristics._refine(n, leaf, side, *(np.array(x) for x in zip(*tiles)))
+            assert {s for s, *_ in steps} == {side // f}
+            assert all(len(k) <= chunk for _, k, _, _ in steps)
+            got = [t for _, *kij in reversed(steps) for t in zip(*(x.tolist() for x in kij))]
+            assert got == children(n, side, f, tiles)

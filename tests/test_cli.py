@@ -479,3 +479,45 @@ def test_multi_axis_outputs_are_byte_identical(name, tmp_path, monkeypatch, caps
     assert main(shlex.split(command)) == 0
     assert capsys.readouterr().out == (MULTI_AXIS / f"{name}.stdout").read_text()
     assert (tmp_path / written).read_bytes() == (MULTI_AXIS / written).read_bytes()
+
+
+# One process, many main() calls: the parser is built once and reused, so
+# every call, an error exit included, must print and write what a call with
+# a freshly built parser does.
+PARSER_REUSE_COMMANDS = [
+    "make-grid --generator power --alpha 0.5 --cells 16 --out g.txt",
+    "characteristic --class ap --p 2 --grid g.txt --csv c.csv",
+    "characteristic --class ap --grid g.txt",  # missing --p: argparse exits 2
+    "exponents --class ap --p 2 --Q 1",  # precondition error: exit code 2
+    "characteristic --class rh --p 1.5 --grid g.txt --csv c.csv",
+    "export-csv --grid g.txt --out cells.csv",
+    "sharpness --class ap --p 2 --Q 1.3 --side minus --cells 16,32 --out s.csv",
+]
+
+
+def _call_all(capsys, monkeypatch, workdir):
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    results = []
+    for command in PARSER_REUSE_COMMANDS:
+        try:
+            code = main(shlex.split(command))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+        results.append((command, code, out.out, out.err, files))
+    return results
+
+
+def test_parser_is_built_once_and_reused(tmp_path, monkeypatch, capsys):
+    from boxweights import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    cached = [_call_all(capsys, monkeypatch, tmp_path / f"cached{i}") for i in range(2)]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = _call_all(capsys, monkeypatch, tmp_path / "fresh")
+    assert cached[0] == cached[1] == fresh
+    codes = [r[1] for r in fresh]
+    assert codes == [0, 0, ("exit", 2), 2, 0, 0, 0]
+    assert "required: --p" in fresh[2][3] and "must exceed 1" in fresh[3][3]

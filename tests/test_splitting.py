@@ -560,6 +560,21 @@ def _seeded_case(rng, ndim):
     return GridMeasure(bps, mass), WeightGrid(values), config
 
 
+class TestSplitBox:
+    @pytest.mark.parametrize("ranges, axis", [(((0, 5),), 0), (((2, 4), (1, 9)), 1), (((0, 3), (4, 6), (1, 2)), 0)])
+    def test_children_and_errors_match_boxidx(self, ranges, axis):
+        box = BoxIdx(ranges)
+        a, b = ranges[axis]
+        for k in range(a - 1, b + 2):
+            got = _outcome(lambda: splitting._split_box(box, np.int64(axis), np.int64(k)))
+            want = _outcome(lambda: _ref_split_box(box, axis, k))
+            assert got == want
+            if a < k < b:
+                children = splitting._split_box(box, np.int64(axis), np.int64(k))
+                assert children == _ref_split_box(box, axis, k)
+                assert all(type(x) is int for child in children for r in child.ranges for x in r)
+
+
 class TestBatchedSplitterAgainstLoop:
     @pytest.mark.parametrize("ndim", [1, 2, 3])
     def test_seeded_trees(self, ndim):
