@@ -434,11 +434,8 @@ class _Stack:
         self.leaf = min(_TILE, self.top)
         self.e = q - 1.0 if kind is ClassKind.MUCKENHOUPT_A else 1.0 / q
         h, l = hl
-        # exact single-cell sums (3, n, K) of the mass, w and w**s2 columns,
-        # a row at a time to keep the temporaries small
-        cells = np.empty((3, self.n, self.cols))
-        for r in range(3):
-            cells[r] = dd_sub_rounded(h[r, 1:], l[r, 1:], h[r, :-1], l[r, :-1])
+        # exact single-cell sums of the mass, w and w**s2 columns, each (n, K)
+        cells = [dd_sub_rounded(h[r, 1:], l[r, 1:], h[r, :-1], l[r, :-1]) for r in range(3)]
         self.count = _positive_boxes(cells[0] > 0.0)
         # maxima of the cell ratios over aligned blocks of leaf cells, the
         # ratios padded with 0 to top cells; the other sides are reduced from these
@@ -627,7 +624,7 @@ def _positive_boxes(positive):
 def _cell_ratios(kind, e, cells, total, ratios):
     """Per cell, the two ratios whose maxima bound the values, into ``ratios``; returns the cells that forbid a bound.
 
-    ``cells`` holds the cell sums (3, n, K) of the mass, w and w**s2.  The
+    ``cells`` holds the cell sums (n, K) of the mass, w and w**s2.  The
     ratios (2, n, K) are (sw/m, ss/m) for ap and (m/sw, ss/m) for rh, 0 on
     zero-mass cells.  A positive-mass cell forbids a bound where it could
     take an intermediate out of the normal range: a sum outside [2**-960,
@@ -643,7 +640,9 @@ def _cell_ratios(kind, e, cells, total, ratios):
     np.divide(ss, m, out=ratios[1])
     lim = 2.0 ** (_LOG2_LIMIT / max(e, 1.0))
     lo, hi = (np.array(x)[:, None, None] for x in ((2.0**-_LOG2_LIMIT, 1.0 / lim), (2.0**_LOG2_LIMIT, lim)))
-    good = ((ratios > lo) & (ratios < hi)).all(axis=0) & ((cells >= 1.0 / _SUM_LIMIT) & (cells <= _SUM_LIMIT)).all(axis=0)
+    good = ((ratios > lo) & (ratios < hi)).all(axis=0)
+    for x in cells:
+        good &= (x >= 1.0 / _SUM_LIMIT) & (x <= _SUM_LIMIT)
     positive = m > 0.0
     good &= positive & (total <= _SUM_LIMIT)
     ratios[:, ~good] = 0.0

@@ -57,7 +57,7 @@ class BoxIdx:
                 raise PreconditionError(f"empty or negative index range in {self.ranges}")
 
     @classmethod
-    def checked(cls, ranges) -> "BoxIdx":
+    def unchecked(cls, ranges) -> "BoxIdx":
         """The box of ``ranges``, a tuple of (a, b) int pairs already known to hold 0 <= a < b; no re-check."""
         box = object.__new__(cls)
         object.__setattr__(box, "ranges", ranges)

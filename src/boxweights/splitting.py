@@ -201,7 +201,7 @@ def _split_box(box: BoxIdx, axis: int, index: int) -> tuple[BoxIdx, BoxIdx]:
     left, right = (ranges[:axis] + (r,) + ranges[axis + 1 :] for r in ((a, index), (index, b)))
     if not a < index < b:
         raise PreconditionError(f"empty or negative index range in {left if index <= a else right}")
-    return BoxIdx.checked(left), BoxIdx.checked(right)
+    return BoxIdx.unchecked(left), BoxIdx.unchecked(right)
 
 
 def _single_cell(box: BoxIdx, axis: int) -> InfeasibleSplitError:
