@@ -38,15 +38,16 @@ lexicographic order within a fixed entry budget (in 1-D, the tables), which
 bounds their memory on every axis.  The boxes of a column are its (a, b)
 pairs, a < b.  A tile of side s (a power of two) holds the pairs with a in
 [i s, (i + 1) s) and b - 1 in [j s, (j + 1) s), i <= j.  Tiles are bounded
-in steps of at most _TILE_CHUNK, coarse to fine, down to leaves of _TILE a
-side.  The tiles a step keeps go straight to the finest side s' (a power of
-two, at least the leaf's) at which all their children (k, f i + di, f j +
-dj), f = s / s', fit one step, or to half their side when none does; the
-first steps hold the children of one tile of side 2 top per column, top the
-power of two at or above the column's cell count.  Every tile evaluates its
-largest box [a_lo, b_hi) and, off the diagonal, its smallest box [a_hi,
-b_lo) exactly and offers them to the incumbent, then gets the bound U below
-and is dropped when U is below the incumbent; the leaves left are evaluated
+in steps, coarse to fine, down to leaves of _TILE a side; a step holds at
+most _TILE_CHUNK tiles, or as many as the step whose tiles it refines.  The
+tiles a step keeps go straight to the finest side s' (a power of two, at
+least the leaf's) at which all their children (k, f i + di, f j + dj), f =
+s / s', fit one step, or to half their side when none does; the first steps
+hold the children of one tile of side 2 top per column, top the power of
+two at or above the column's cell count.  Every tile evaluates its largest
+box [a_lo, b_hi) and, off the diagonal, its smallest box [a_hi, b_lo)
+exactly and offers them to the incumbent, then gets the bound U below and
+is dropped when U is below the incumbent; the leaves left are evaluated
 exactly, first screened (below) when they exceed one batch, the tile of the
 best screen first.  The bound holds for any aligned power-of-two tile, so
 the schedule only orders the offers.  Every value is the exact pass's: sums
@@ -275,14 +276,16 @@ def q_scan(measure, weight, kind: ClassKind, q_list, tables=None) -> list[ScanEn
     return entries
 
 
-# Leaf tiles are _TILE x _TILE (a, b) pairs of one leading range; a batch
-# of leaves holds about _LEAF_BLOCK box values, and a bounding step at most
-# _TILE_CHUNK tiles.  A step costs about 65 us whatever its size, plus 0.12
-# us a tile up to 1024 tiles and 0.3 us beyond (2-vCPU Xeon, numpy 2.4), so
-# steps of 1024 tiles take the fewest rounds at the lowest cost a tile.  A stack holds at most _STACK_BLOCK prefix entries per
-# table (or one column), about 800 KB whatever the number of axes.  Reducing
-# _REDUCE_BLOCK entries at a time keeps the temporaries near 50 KB: in cache,
-# and reused by the allocator instead of faulted in afresh for every stack.
+# Leaf tiles are _TILE x _TILE (a, b) pairs of one leading range; a batch of
+# leaves holds about _LEAF_BLOCK box values, and a bounding step at most
+# _TILE_CHUNK tiles (or as many as its parent step).  A step costs about 65
+# us whatever its size, plus 0.12 us a tile up to 1024 tiles and 0.3 us
+# beyond (2-vCPU Xeon, numpy 2.4), so steps of 1024 tiles take the fewest
+# rounds at the lowest cost a tile.  A stack holds at most _STACK_BLOCK
+# prefix entries per table (or one column), about 800 KB whatever the number
+# of axes.  Reducing _REDUCE_BLOCK entries at a time keeps the temporaries
+# near 50 KB: in cache, and reused by the allocator instead of faulted in
+# afresh for every stack.
 _TILE = 8
 _LEAF_BLOCK = 1 << 12
 _TILE_CHUNK = 1 << 10
@@ -530,11 +533,13 @@ def _refine(n, leaf, side, k, i, j):
     """Children of the tiles (k, i, j) of ``side``, as bounding steps (side', k, i, j), last step first.
 
     The children have the finest side s' = side / f, f a power of two, at
-    least leaf, at which they fit one step of _TILE_CHUNK tiles, and side /
-    2 when none does: tile (k, i, j) has the children (k, f i + di, f j +
-    dj), 0 <= di, dj < f, with i' <= j' and j' s' < n.
+    least leaf, at which they fit one step, and side / 2 when none does:
+    tile (k, i, j) has the children (k, f i + di, f j + dj), 0 <= di, dj <
+    f, with i' <= j' and j' s' < n.  A step holds _TILE_CHUNK tiles, or as
+    many as the tiles refined, so the one tile per column of a stack of
+    more columns starts as one step.
     """
-    f = 2
+    f, step = 2, max(_TILE_CHUNK, len(k))
     if side // 4 >= leaf:
         # A diagonal tile has f (f + 1) / 2 children and any other f * f, in
         # f block rows, except in the last block row, where n leaves r of them.
@@ -546,14 +551,14 @@ def _refine(n, leaf, side, k, i, j):
             r = -(-n // (side // f)) - f * ((n - 1) // side)
             return sum(x * y for x, y in zip(tiles, (r * (r + 1) // 2, f * (f + 1) // 2, f * r, f * f)))
 
-        while side // (2 * f) >= leaf and children(2 * f) <= _TILE_CHUNK:
+        while side // (2 * f) >= leaf and children(2 * f) <= step:
             f *= 2
     side //= f
     di, dj = _child_offsets(f)
     ci, cj = f * i + di, f * j + dj
     t, c = np.divmod(np.flatnonzero(((ci <= cj) & (cj * side < n)).T), f * f)
     k, i, j = k[t], ci[c, t], cj[c, t]
-    return [(side, k[s : s + _TILE_CHUNK], i[s : s + _TILE_CHUNK], j[s : s + _TILE_CHUNK]) for s in reversed(range(0, len(k), _TILE_CHUNK))]
+    return [(side, k[s : s + step], i[s : s + step], j[s : s + step]) for s in reversed(range(0, len(k), step))]
 
 
 def _leaves(stack, lead, kind, q, best, k, i, j, bound):

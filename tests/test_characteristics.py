@@ -664,8 +664,9 @@ class TestTileBranchAndBound:
 
     @pytest.mark.parametrize("chunk", [1, 3, 1 << 20], ids=["one-tile", "three-tiles", "unbounded"])
     def test_any_step_size_matches_sweep(self, chunk, monkeypatch):
-        # One tile a step refines by halves throughout; an unbounded step
-        # goes from the whole column straight to the leaves.
+        # Steps of one tile (or of as many as their parent step) refine by
+        # halves; an unbounded step goes from the whole column straight to
+        # the leaves.
         monkeypatch.setattr(characteristics, "_TILE_CHUNK", chunk)
         rng = np.random.default_rng(15)
         runs = rng.uniform(0.2, 1.0, 60) * (rng.random(60) > 0.3)
@@ -738,12 +739,14 @@ class TestTileBranchAndBound:
             i = rng.integers(0, -(-n // side), int(rng.integers(1, 40)))
             j = np.maximum(i, rng.integers(0, -(-n // side), len(i)))
             tiles = list(zip(rng.integers(0, 5, len(i)).tolist(), i.tolist(), j.tolist()))
-            # halve at least once, then while the children still fit one step
-            f = 2
-            while side // (2 * f) >= leaf and len(children(n, side, 2 * f, tiles)) <= chunk:
+            # halve at least once, then while the children still fit one
+            # step: _TILE_CHUNK tiles, or as many as the tiles refined
+            step, f = max(chunk, len(tiles)), 2
+            while side // (2 * f) >= leaf and len(children(n, side, 2 * f, tiles)) <= step:
                 f *= 2
             steps = characteristics._refine(n, leaf, side, *(np.array(x) for x in zip(*tiles)))
-            assert {s for s, *_ in steps} == {side // f}
-            assert all(len(k) <= chunk for _, k, _, _ in steps)
+            want = children(n, side, f, tiles)
+            assert [s for s, *_ in steps] == [side // f] * -(-len(want) // step)
+            assert all(len(k) <= step for _, k, _, _ in steps)
             got = [t for _, *kij in reversed(steps) for t in zip(*(x.tolist() for x in kij))]
-            assert got == children(n, side, f, tiles)
+            assert got == want
