@@ -31,7 +31,7 @@ from .errors import CandidateDomainError, PreconditionError
 from .exponents import ClassKind, PParam, _as_pparam, r_is_admissible
 from .grids import GridMeasure, PrefixTables, WeightGrid, _atomic_write, _parse_float
 from .grids import _TokenReader, _wrap_floats, refine
-from .splitting import DEFAULT_SEGMENT_SAMPLES, _samples, segment_maxima
+from .splitting import DEFAULT_SEGMENT_SAMPLES, _out_of_band, _samples, segment_maxima
 
 DEFAULT_VERIFY_SEGMENTS = 200
 DEFAULT_VERIFY_TOL = 1e-9
@@ -478,9 +478,11 @@ def _sample_segments(region, segments, rng, log_lo, log_hi) -> list[tuple[float,
     Attempt k draws a and then b from rng, each as x1 = exp(uniform(log_lo,
     log_hi)) and then a gauge uniform in [1, Q], with math.exp and
     x2_at_gauge in Python floats; it keeps the segment if segment_max is at
-    most Q.  Attempts run in chunks with one segment_maxima call each, which
-    equals segment_max bit for bit.  Past 1000 * segments attempts the
-    sampling stalls, at the attempt where it stalls one attempt at a time.
+    most Q.  Attempts run in chunks: a segment with one of its peak samples
+    above Q (splitting._out_of_band) is dropped, and the others go to one
+    segment_maxima call, which equals segment_max bit for bit.  Past 1000 *
+    segments attempts the sampling stalls, at the attempt where it stalls
+    one attempt at a time.
     verify_candidate has made sure that every coordinate drawn is positive.
     """
     lows = np.array([log_lo, 1.0, log_lo, 1.0])
@@ -498,9 +500,11 @@ def _sample_segments(region, segments, rng, log_lo, log_hi) -> list[tuple[float,
         for la, ga, lb, gb in rng.uniform(lows, highs, (size, 4)).tolist():
             a1, b1 = math.exp(la), math.exp(lb)
             drawn.append((a1, float(region.x2_at_gauge(a1, ga)), b1, float(region.x2_at_gauge(b1, gb))))
+        ends = np.array(drawn).T
         with np.errstate(all="ignore"):
-            inside = segment_maxima(lam, *np.array(drawn).T, region.kind, region.p) <= region.Q
-        pairs.extend(drawn[k] for k in np.flatnonzero(inside)[:need].tolist())
+            kept = np.flatnonzero(~_out_of_band(lam, *ends, region.kind, region.p, region.Q))
+            inside = kept[segment_maxima(lam, *ends[:, kept], region.kind, region.p) <= region.Q]
+        pairs.extend(drawn[k] for k in inside[:need].tolist())
         attempts += size
     return pairs
 

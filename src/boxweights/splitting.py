@@ -17,10 +17,12 @@ level (_split_level; choose_position runs it on a one-box level):
 - the sums of every split position of every node are rounded differences
   of two column entries, gathered into flat arrays, and one lexsort orders
   the whole level's ratio windows by (node, |ratio - 1/2|, index);
-- segment maxima are evaluated in rounds: every node still searching gives
-  its next 1, then 2, 4, ... 64 candidates, in segment_maxima calls of at
-  most 2**18 gauge samples, and per node the first feasible candidate in
-  that order wins.
+- each node's first candidate is sampled in full; the other candidates of
+  the nodes still searching are screened in one pass by four of their own
+  samples (_out_of_band), and only each node's first survivor is sampled in
+  full, again where full sampling turns one down.  Per node the first
+  feasible candidate in that order wins; calls take at most 2**18 gauge
+  samples.
 
 A failed split ends the build with the first failure in preorder, which is
 the lexicographic order of the node paths: after a failure at path F only
@@ -40,6 +42,7 @@ content of segment concavity.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -47,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._summation import dd_box_diffs, dd_sub_rounded
-from .characteristics import pair_gauge, second_moment_exponent
+from .characteristics import index_runs, pair_gauge, second_moment_exponent
 from .errors import InfeasibleSplitError, PreconditionError, ZeroMeasureBoxError
 from .exponents import ClassKind, PParam, _as_pparam
 from .grids import BoxIdx, GridMeasure, PrefixTables, WeightGrid, lost_moment_cell, own_tables
@@ -174,9 +177,41 @@ def segment_maxima(lam, a1, a2, b1, b2, kind: ClassKind, p) -> np.ndarray:
     One gauge evaluation over C-contiguous (K, samples) arrays; entry i equals
     segment_max of segment i bit for bit.  Coordinates are not checked.
     """
+    return _gauges(lam, a1, a2, b1, b2, kind, p).max(axis=1)
+
+
+def _gauges(lam, a1, a2, b1, b2, kind: ClassKind, p) -> np.ndarray:
+    """Gauge of the K segments at lam a + (1 - lam) b, lam of shape (samples,) or (K, samples)."""
     x1 = lam * a1[:, None] + (1.0 - lam) * b1[:, None]
     x2 = lam * a2[:, None] + (1.0 - lam) * b2[:, None]
-    return pair_gauge(kind, p, x1, x2).max(axis=1)
+    return pair_gauge(kind, p, x1, x2)
+
+
+def _peak_samples(lam, a1, a2, b1, b2, kind: ClassKind, p):
+    """Indices (K, 4) and gauges of four of the samples segment_maxima takes of each segment.
+
+    They are the first, the last and the two around the critical point t*
+    of the gauge on x = b + t d, d = a - b, which solves d1 x2 + (p-1) d2 x1
+    = 0 (Muckenhoupt) or d2 x1 - p d1 x2 = 0 (Reverse Holder), linear in t.
+    The gauges equal segment_maxima's bit for bit, so one above a limit puts
+    the segment maximum above it; an undefined (d1 d2 = 0) or wrong t* only
+    picks samples that show less.
+    """
+    q, last = _as_pparam(p).p, lam.size - 1
+    with np.errstate(all="ignore"):
+        d1, d2 = a1 - b1, a2 - b2
+        if kind is ClassKind.MUCKENHOUPT_A:
+            t = -(d1 * b2 + (q - 1.0) * d2 * b1) / (q * d1 * d2)
+        else:
+            t = (q * d1 * b2 - d2 * b1) / ((1.0 - q) * d1 * d2)
+        t = np.fmax(np.fmin(t * last, last - 1.0), 0.0).astype(np.intp)  # fmin and fmax drop a nan
+        idx = np.column_stack((np.zeros_like(t), np.full_like(t, last), t, t + 1))
+        return idx, _gauges(lam[idx], a1, a2, b1, b2, kind, p)
+
+
+def _out_of_band(lam, a1, a2, b1, b2, kind: ClassKind, p, limit: float) -> np.ndarray:
+    """Segments whose peak samples (_peak_samples) show a segment maximum above ``limit``."""
+    return _peak_samples(lam, a1, a2, b1, b2, kind, p)[1].max(axis=1) > limit
 
 
 @dataclass(frozen=True)
@@ -226,12 +261,14 @@ def _columns(tables: PrefixTables, keys, ranges: np.ndarray, axes, span: np.ndar
     n = len(ranges)
     other = ranges.copy()
     other[np.arange(n), axes] = -1
-    groups, slot = np.unique(other.reshape(n, -1), axis=0, return_inverse=True)
+    other = other.reshape(n, -1)
+    one = (other == other[0]).all()
+    groups, slot = (other[:1], None) if one else np.unique(other, axis=0, return_inverse=True)
     columns = [
         [dd_box_diffs(*tables.table(s), [None if a < 0 else (a, b) for a, b in group]) for s in keys]
         for group in groups.reshape(len(groups), -1, 2).tolist()
     ]
-    if len(columns) == 1:
+    if one:
         return columns[0], np.zeros(n, dtype=np.intp)
     slot, (a, b) = slot.reshape(-1).tolist(), span.T.tolist()
     joined = [
@@ -249,59 +286,79 @@ def _between(column, x, y):
 
 
 def _first_stops(lam, ends, stop, owner, start, end, config: SplitConfig):
-    """Segment maxima of the candidates searched, and per node its first stopping candidate.
+    """Segment maxima of the candidates sampled in full, and per node its first stopping candidate.
 
     Candidates start[j]:end[j], owned by node j, are in search order; a
     candidate stops the search if stop marks it or its segment maximum is at
-    most Q1.  Each round takes the next 1, 2, 4, ... 64 candidates of every
-    node still searching, in segment_maxima calls of at most _CALL_SAMPLES
-    gauge samples.  First stops are -1 for nodes with none; unsearched
-    maxima are nan.
+    most Q1.  Each node's first candidate is sampled in full; the others of
+    the nodes still searching are screened in one pass (_out_of_band), and
+    each node's first survivor is sampled in full, again while that turns
+    one down.  A node left without survivors has the rest sampled in full,
+    so its first stop and all its maxima come from full sampling.  Calls
+    take at most _CALL_SAMPLES gauge samples.  First stops are -1 for nodes
+    with none; maxima not sampled in full are nan.
     """
     psi = np.full(stop.size, np.nan)
     first = np.full(start.size, -1)
-    nxt = start.copy()
-    searching = np.flatnonzero(end > start)
-    per_call = max(1, _CALL_SAMPLES // lam.size)
-    size = 1
-    while searching.size:
-        take = np.minimum(end[searching] - nxt[searching], size)
-        batch = np.arange(take.sum()) + np.repeat(nxt[searching] - (np.cumsum(take) - take), take)
-        for lo in range(0, batch.size, per_call):
-            part = batch[lo:lo + per_call]
+    sampled = np.zeros(stop.size, dtype=bool)
+
+    def calls(cands, width):
+        per_call = max(1, _CALL_SAMPLES // width)
+        return ((lo, cands[lo:lo + per_call]) for lo in range(0, cands.size, per_call))
+
+    def sample(cands):  # the first stop of each node among cands, sampled in full
+        for _, part in calls(cands, lam.size):
             psi[part] = segment_maxima(lam, *(x[part] for x in ends), config.kind, config.p)
-        hits = batch[stop[batch] | (psi[batch] <= config.Q1)]
+        sampled[cands] = True
+        hits = cands[stop[cands] | (psi[cands] <= config.Q1)]
         nodes, at = np.unique(owner[hits], return_index=True)
         first[nodes] = hits[at]
-        nxt[searching] += take
-        searching = searching[(nxt[searching] < end[searching]) & (first[searching] < 0)]
-        size = min(2 * size, 64)
+
+    searching = np.flatnonzero(end > start)
+    sample(start[searching])
+    searching = searching[first[searching] < 0]
+    if not searching.size:
+        return psi, first
+    cands = index_runs(start[searching] + 1, end[searching])
+    out = np.zeros(cands.size, dtype=bool)
+    for lo, part in calls(cands, 4):
+        out[lo:lo + part.size] = _out_of_band(lam, *(x[part] for x in ends), config.kind, config.p, config.Q1)
+    survivors = cands[stop[cands] | ~out]
+    while survivors.size:
+        head = np.r_[True, owner[survivors[1:]] != owner[survivors[:-1]]]
+        sample(survivors[head])
+        survivors = survivors[~head & (first[owner[survivors]] < 0)]
+    searching = searching[first[searching] < 0]
+    cands = index_runs(start[searching] + 1, end[searching])
+    sample(cands[~sampled[cands]])
     return psi, first
 
 
 def _split_level(measure: GridMeasure, tables: PrefixTables, config: SplitConfig, boxes, ranges, axes):
     """One split search for the boxes of a tree level, each along its axis.
 
-    ``ranges`` is the (n, ndim, 2) index array of the boxes.  Returns, per
-    box, the fields of its SplitChoice as a tuple, or the error its split
-    raises: the error a one-box search meets first, in (|ratio - 1/2|,
-    index) order.  The tables must be certified.
+    ``ranges`` is the (n, ndim, 2) index array of the boxes.  Returns a dict
+    of the errors of the boxes whose split fails, by box number (the error
+    a one-box search meets first, in (|ratio - 1/2|, index) order), the
+    split indices and a (9, n) array of the float fields of SplitChoice in
+    order, the points as (x1, x2); entries of failed boxes mean nothing.
+    The tables must be certified.
     """
     keys = (None, 1.0, config.moment_exponent)
-    outcomes: list = [None] * len(boxes)
-    axes = axes.tolist()
-    span = ranges[np.arange(len(boxes)), axes]  # [a, b) along the axis
+    n = len(boxes)
+    errors, index, fields = {}, np.zeros(n, dtype=np.intp), np.zeros((9, n))
+    span = ranges[np.arange(n), axes]  # [a, b) along the axis
     for i in np.flatnonzero(span[:, 1] - span[:, 0] < 2).tolist():
-        outcomes[i] = _single_cell(boxes[i], axes[i])
+        errors[i] = _single_cell(boxes[i], int(axes[i]))
     live = np.flatnonzero(span[:, 1] - span[:, 0] >= 2)
     if not live.size:
-        return outcomes
+        return errors, index, fields
     span = span[live]
-    columns, offset = _columns(tables, keys, ranges[live], np.take(axes, live), span)
+    columns, offset = _columns(tables, keys, ranges[live], axes[live], span)
     a, b = (span[:, j] + offset for j in (0, 1))  # column indices
     total = _between(columns[0], a, b)
     for j in np.flatnonzero(total <= 0.0).tolist():
-        outcomes[live[j]] = ZeroMeasureBoxError(boxes[live[j]])
+        errors[int(live[j])] = ZeroMeasureBoxError(boxes[live[j]])
     keep = np.flatnonzero(~(total <= 0.0))
     live, span, offset, a, b, total = (x[keep] for x in (live, span, offset, a, b, total))
 
@@ -310,7 +367,7 @@ def _split_level(measure: GridMeasure, tables: PrefixTables, config: SplitConfig
     counts = b - a - 1
     positions = np.cumsum(counts) - counts
     node = np.repeat(np.arange(live.size), counts)
-    k = np.arange(counts.sum()) - np.repeat(positions - a - 1, counts)
+    k = index_runs(a + 1, b)
     left_mass = _between(columns[0], a[node], k)
     ratios = left_mass / total[node]
     window = np.flatnonzero((config.c < ratios) & (ratios < 1.0 - config.c))
@@ -331,32 +388,30 @@ def _split_level(measure: GridMeasure, tables: PrefixTables, config: SplitConfig
         psi, first = _first_stops(_samples(config.segment_samples), ends, stop, owner, start, end, config)
 
     found = np.flatnonzero(first >= 0)
-    e = first[found]
-    rows = zip(
-        found.tolist(), (wk - offset[owner])[e].tolist(), ratios[window[e]].tolist(), psi[e].tolist(),
-        left[0][e].tolist(), right[0][e].tolist(), nonpositive[e].tolist(), *(x[e].tolist() for x in ends),
-    )
-    live = live.tolist()
-    for j, index, ratio, smax, m_left, m_right, bad, *xs in rows:
-        i = live[j]
-        box, axis = boxes[i], axes[i]
-        if m_left <= 0.0 or m_right <= 0.0:
-            outcomes[i] = ZeroMeasureBoxError(_split_box(box, axis, index)[0 if m_left <= 0.0 else 1])
-        elif bad:
-            outcomes[i] = PreconditionError("average points must have positive coordinates")
+    e, at = first[found], live[found]
+    index[at] = (wk - offset[owner])[e]
+    fields[1:, at] = ratios[window[e]], psi[e], *(x[e] for x in ends), left[0][e], right[0][e]
+    for axis, bp in enumerate(measure.breakpoints):
+        on = at[axes[at] == axis]
+        fields[0, on] = bp[index[on]]
+    zero = (left[0][e] <= 0.0) | (right[0][e] <= 0.0)
+    for j in np.flatnonzero(zero | nonpositive[e]).tolist():
+        i = int(at[j])
+        if zero[j]:
+            children = _split_box(boxes[i], int(axes[i]), int(index[i]))
+            errors[i] = ZeroMeasureBoxError(children[0 if left[0][e[j]] <= 0.0 else 1])
         else:
-            coord = float(measure.breakpoints[axis][index])
-            outcomes[i] = (axis, index, coord, ratio, smax, AvgPoint(*xs[:2]), AvgPoint(*xs[2:]), m_left, m_right)
-    # No feasible candidate: every window candidate has been searched.
+            errors[i] = PreconditionError("average points must have positive coordinates")
+    # No feasible candidate: every window candidate has been sampled in full.
     for j in np.flatnonzero(first < 0).tolist():
-        i = live[j]
-        box, axis = boxes[i], axes[i]
+        i = int(live[j])
+        box, axis = boxes[i], int(axes[i])
         best_psi = min(psi[start[j]:end[j]].tolist(), default=None)
         ks = range(int(span[j, 0]) + 1, int(span[j, 1]))
         lo = int(positions[j])
         # min over (|ratio - 1/2|, k) as Python orders the pairs, NaN included
         _, r_best = min(zip(ks, ratios[lo:lo + len(ks)].tolist()), key=lambda kr: (abs(kr[1] - 0.5), kr[0]))
-        outcomes[i] = InfeasibleSplitError(
+        errors[i] = InfeasibleSplitError(
             f"no feasible split of {box} along axis {axis}: best ratio "
             f"{r_best:.6g} with window ({config.c}, {1 - config.c}), "
             f"best segment max {best_psi}",
@@ -364,7 +419,7 @@ def _split_level(measure: GridMeasure, tables: PrefixTables, config: SplitConfig
             best_ratio=r_best,
             best_segment_max=best_psi,
         )
-    return outcomes
+    return errors, index, fields
 
 
 def choose_position(
@@ -383,10 +438,11 @@ def choose_position(
     to a prefix column along the axis (_summation.dd_box_diffs); the sums of
     the box, of the left child of every position and of both children of
     the window positions are rounded differences of two entries of it
-    (dd_sub_rounded).  The window is ordered by (|ratio - 1/2|, index), and
-    its segment maxima are evaluated in rounds of 1, 2, 4, ... 64
-    candidates; the first feasible candidate in that order wins.  With no
-    feasible position every window candidate has been evaluated, and an
+    (dd_sub_rounded).  The window is ordered by (|ratio - 1/2|, index); its
+    first candidate is sampled in full, the others are screened by four of
+    their samples (_out_of_band), and the survivors are sampled in full in
+    that order: the first feasible candidate wins.  With no feasible
+    position every window candidate has been sampled in full, and an
     InfeasibleSplitError reports the ratio closest to 1/2 over all positions
     and the smallest segment maximum seen inside the ratio window.  Tables
     beyond the precision certificate are refused first, as build_tree
@@ -398,10 +454,11 @@ def choose_position(
     if b - a < 2:
         raise _single_cell(box, axis)
     box.check_shape(measure.shape)
-    (outcome,) = _split_level(measure, tables, config, [box], np.array([box.ranges]), np.array([axis]))
-    if isinstance(outcome, Exception):
-        raise outcome
-    return SplitChoice(*outcome)
+    errors, index, fields = _split_level(measure, tables, config, [box], np.array([box.ranges]), np.array([axis]))
+    if errors:
+        raise errors[0]
+    coord, ratio, smax, *xs, m_left, m_right = fields[:, 0].tolist()
+    return SplitChoice(int(axis), int(index[0]), coord, ratio, smax, AvgPoint(*xs[:2]), AvgPoint(*xs[2:]), m_left, m_right)
 
 
 def build_tree(
@@ -446,42 +503,46 @@ def build_tree(
     point = AvgPoint(tables.moment_sum(1.0, root_box) / mass, tables.moment_sum(s2, root_box) / mass)
 
     levels: list[list[SplitNode]] = []
-    grown = [(root_box, "", mass, point)]  # box, path, mass and point of the next level's nodes
+    # boxes, paths, masses and points of the level's nodes, in path order
+    boxes, paths, masses, points = [root_box], [""], [mass], [point]
+    ranges = np.array([root_box.ranges], dtype=np.intp)
     parents: list[SplitNode] = []
     failure = None
     for level in range(config.levels + 1):
-        if not grown:
-            break
-        boxes = [box for box, *_ in grown]
-        ranges = np.array([box.ranges for box in boxes], dtype=np.intp)
         lengths = _edge_lengths(measure, ranges)
-        nodes = [  # diameters as GridMeasure.box_diameter computes them
-            SplitNode(box=box, level=level, path=path, mass=m, point=x,
-                      diameter=math.sqrt(sum(edge**2 for edge in edges)))
-            for (box, path, m, x), edges in zip(grown, lengths.T.tolist())
-        ]
-        for parent, i in zip(parents, range(0, len(nodes), 2)):
-            parent.children = (nodes[i], nodes[i + 1])
-        levels.append(nodes)
-        if level == config.levels:
+        # diameters as GridMeasure.box_diameter computes them: Python's ** and sum
+        squares = np.array([edge**2 for edge in lengths.ravel().tolist()]).reshape(lengths.shape)
+        diameters = np.sqrt(functools.reduce(np.add, squares)).tolist()
+        split, grow = (), len(boxes)
+        if level < config.levels:
+            axes = np.argmax(lengths, axis=0)
+            errors, index, fields = _split_level(measure, tables, config, boxes, ranges, axes)
+            # A level's nodes come in path order, and all of them precede
+            # every failure met so far: the level's first failure is the new
+            # first one in preorder, and only the nodes before it grow on.
+            # A tree with a failure is not returned, so its nodes are not built.
+            if errors:
+                grow = min(errors)
+                failure = errors[grow]
+                if isinstance(failure, InfeasibleSplitError):
+                    failure.path = paths[grow]
+            split = (axes.tolist(), index.tolist(), *fields[:3].tolist())
+        if failure is None:
+            nodes = list(map(SplitNode, boxes, itertools.repeat(level), paths, masses, points, diameters, *split))
+            for parent, i in zip(parents, range(0, len(nodes), 2)):
+                parent.children = (nodes[i], nodes[i + 1])
+            levels.append(nodes)
+            parents = nodes
+        if level == config.levels or not grow:
             break
-        outcomes = _split_level(measure, tables, config, boxes, ranges, np.argmax(lengths, axis=0))
-        # A level's nodes come in path order, and all of them precede every
-        # failure met so far: the level's first failure is the new first one
-        # in preorder, and only the nodes before it grow on.
-        grown, parents = [], []
-        for node, outcome in zip(nodes, outcomes):
-            if isinstance(outcome, Exception):
-                if isinstance(outcome, InfeasibleSplitError):
-                    outcome.path = node.path
-                failure = outcome
-                break
-            axis, index, _, _, _, left_point, right_point, left_mass, right_mass = outcome
-            node.axis, node.split_index, node.split_coord, node.ratio, node.segment_psi_max = outcome[:5]
-            left_box, right_box = _split_box(node.box, axis, index)
-            grown += [(left_box, node.path + "0", left_mass, left_point),
-                      (right_box, node.path + "1", right_mass, right_point)]
-            parents.append(node)
+        # The children of the first ``grow`` nodes, left and right in turn.
+        rows = 2 * np.arange(grow)
+        ranges = np.repeat(ranges[:grow], 2, axis=0)
+        ranges[rows, axes[:grow], 1] = ranges[rows + 1, axes[:grow], 0] = index[:grow]
+        boxes = [BoxIdx.unchecked(tuple(map(tuple, box))) for box in ranges.tolist()]
+        paths = [path + side for path in paths[:grow] for side in "01"]
+        masses = fields[7:9, :grow].T.ravel().tolist()
+        points = list(map(AvgPoint, fields[[3, 5], :grow].T.ravel().tolist(), fields[[4, 6], :grow].T.ravel().tolist()))
     if failure is not None:
         raise failure
     return SplitTree(

@@ -1,5 +1,6 @@
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -99,6 +100,38 @@ class TestSegmentMax:
     def test_rejects_nonpositive_coordinates(self):
         with pytest.raises(PreconditionError):
             segment_max(AvgPoint(1.0, 0.0), AvgPoint(1.0, 1.0), A, P2)
+
+
+class TestPeakSamples:
+    @pytest.mark.parametrize("samples", [2, 17, 257])
+    @pytest.mark.parametrize("kind", [A, ClassKind.REVERSE_HOLDER])
+    def test_peak_samples_are_samples_of_segment_maxima(self, kind, samples):
+        rng = np.random.default_rng(samples + 1000 * (kind is A))
+        p = float(rng.uniform(1.3, 4.0))
+        ends = np.exp(rng.uniform(-2.0, 2.0, (4, 600)))
+        ends[0, 100:150] = ends[2, 100:150]  # d1 = 0
+        ends[1, 150:200] = ends[3, 150:200]  # d2 = 0
+        ends[:2, 200:250] = ends[2:, 200:250]  # coincident endpoints
+        ends[rng.integers(4, size=50), np.arange(250, 300)] = rng.choice([0.0, -0.5, -3.0], 50)
+        lam = np.linspace(0.0, 1.0, samples)
+        idx, peaks = splitting._peak_samples(lam, *ends, kind, p)  # no RuntimeWarning, nonpositive included
+        with np.errstate(all="ignore"):
+            full = splitting._gauges(lam, *ends, kind, p)
+            maxima = segment_maxima(lam, *ends, kind, p)
+        assert np.array_equal(np.take_along_axis(full, idx, axis=1).view(np.uint64), peaks.view(np.uint64))
+        assert np.array_equal(full.max(axis=1).view(np.uint64), maxima.view(np.uint64))
+        # On a segment of distinct positive ends the gauge has one critical
+        # point, so the peak samples hold the sampled maximum; it lies inside
+        # for some segments and at an end for others.  (With d1 = 0, d2 = 0
+        # or coincident ends the gauge is monotone or constant up to the
+        # rounding of the samples.)
+        assert peaks[:100].max(axis=1).tolist() == maxima[:100].tolist()
+        inside = (full[:100].argmax(axis=1) > 0) & (full[:100].argmax(axis=1) < samples - 1)
+        assert samples == 2 or 0 < np.count_nonzero(inside) < 100
+        for limit in (1.0, *np.quantile(maxima[:100], [0.1, 0.5, 0.9]).tolist(), math.inf):
+            out = splitting._out_of_band(lam, *ends, kind, p, limit)
+            assert not (out & ~(maxima > limit)).any()  # only segments above the limit are rejected
+            assert out[:100].tolist() == (maxima[:100] > limit).tolist()
 
 
 class TestForeignTables:
@@ -660,8 +693,9 @@ class TestBatchedSplitterAgainstLoop:
             assert got[1] == "box 1:4 has zero measure"
 
     def test_segment_calls_of_few_samples_give_the_same_trees(self, monkeypatch):
-        # one segment per segment_maxima call, then three; the x**0.2 tree
-        # fails at node 1010011
+        # one segment per call of either kind, then three sampled in full and
+        # 192 screened by their peak samples a call; the x**0.2 tree fails at
+        # node 1010011
         runs = []
         for alpha, factor, levels in ((0.5, 1.5, 7), (0.5, 1.0005, 7), (0.2, 1.0005, 8)):
             Q = 1.0 / ((1.0 + alpha) * (1.0 - alpha))
@@ -670,7 +704,54 @@ class TestBatchedSplitterAgainstLoop:
         assert [w[0] for w in want] == ["ok", "ok", "InfeasibleSplitError"]
         for cap in (1, 3 * 257):
             monkeypatch.setattr(splitting, "_CALL_SAMPLES", cap)
-            assert [_outcome(lambda: _records(build_tree(*run))) for run in runs] == want
+            with mock.patch.object(splitting, "segment_maxima", wraps=segment_maxima) as full, \
+                    mock.patch.object(splitting, "_out_of_band", wraps=splitting._out_of_band) as peak:
+                assert [_outcome(lambda: _records(build_tree(*run))) for run in runs] == want
+            for spy, most in ((full, max(1, cap // 257)), (peak, max(1, cap // 4))):
+                assert max(len(call.args[1]) for call in spy.call_args_list) == most
+
+    def test_trees_do_not_depend_on_the_peak_sample_filter(self, monkeypatch):
+        # A filter that rejects nothing sends every candidate to full
+        # sampling in search order; one that rejects everything leaves each
+        # node its first candidate and then its whole window sampled in
+        # full.  Both give the reference trees and errors, so every printed
+        # or raised segment maximum comes from full sampling.
+        builds = []
+        for ndim in (1, 2, 3):
+            rng = np.random.default_rng(100 + ndim)  # the cases of test_seeded_trees
+            builds += [_seeded_case(rng, ndim) for _ in range(40)]
+        for alpha, levels in ((-0.3, 7), (0.2, 8)):  # test_power_tree_with_an_infeasible_tight_band
+            Q = 1.0 / ((1.0 + alpha) * (1.0 - alpha))
+            builds.append((*power_weight_grid(alpha, 512), config(Q=Q, Q1=Q * 1.0005, levels=levels)))
+        want = [_outcome(lambda: _ref_tree(*case)) for case in builds]
+        for rejects in (False, True):
+            monkeypatch.setattr(splitting, "_out_of_band", lambda lam, a1, *rest: np.full(a1.size, rejects))
+            assert [_outcome(lambda: _records(build_tree(*case))) for case in builds] == want
+
+    def test_a_stopping_candidate_stops_the_search_whatever_its_samples(self):
+        # Node 0 searches candidates 0-3: 0 and 1 leave the band (gauge 16 at
+        # (4, 4)), 2 is marked to stop (a zero mass or a nonpositive
+        # coordinate) with samples far above Q1, 3 lies in the band.  Node 1
+        # has candidate 4 only.  Candidate 1 is rejected by its peak samples
+        # and never sampled in full, nor is 3.
+        far, near = (4.0, 4.0), (1.0, 1.0)
+        pairs = [(far, near), (far, far), (far, far), (near, near), (near, near)]
+        ends = [np.array([pair[side][c] for pair in pairs]) for side in (0, 1) for c in (0, 1)]
+        stop = np.array([False, False, True, False, False])
+        psi, first = splitting._first_stops(splitting._samples(257), ends, stop, np.array([0, 0, 0, 0, 1]),
+                                            np.array([0, 4]), np.array([4, 5]), config(Q=1.5, Q1=1.6))
+        assert first.tolist() == [2, 4]
+        assert psi.tolist()[:3:2] == [16.0, 16.0] and np.isnan(psi[[1, 3]]).all()
+
+    def test_tight_power_tree_samples_few_segments_in_full(self):
+        # the benchmark's 2048-cell trees: every loose-band node stops at its
+        # first candidate; the tight band rejects most first candidates
+        measure, weight = power_weight_grid(0.5, 2048)
+        for factor, most in ((1.5, 511), (1.0005, 600)):
+            cfg = config(Q=4.0 / 3.0, Q1=4.0 / 3.0 * factor, levels=9)
+            with mock.patch.object(splitting, "segment_maxima", wraps=segment_maxima) as full:
+                assert build_tree(measure, weight, cfg).depth == 9
+            assert sum(len(call.args[1]) for call in full.call_args_list) <= most
 
     @pytest.mark.parametrize(
         "mass, c, Q1",
