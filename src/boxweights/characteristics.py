@@ -523,10 +523,10 @@ def _branch_and_bound(stack, lead, kind, q, best):
     return exact
 
 
-def index_runs(lo, hi):
-    """The integers lo[0] .. hi[0] - 1, then lo[1] .. hi[1] - 1, and so on, as one array."""
-    count = hi - lo
-    return np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+@functools.lru_cache(maxsize=None)
+def _child_offsets(f):
+    """Offsets (di, dj) of the f * f children of a tile, as columns against tiles along the last axis."""
+    return tuple(x.reshape(-1, 1) for x in np.divmod(np.arange(f * f), f))
 
 
 def _refine(n, leaf, side, k, i, j):
@@ -554,15 +554,10 @@ def _refine(n, leaf, side, k, i, j):
         while side // (2 * f) >= leaf and children(2 * f) <= step:
             f *= 2
     side //= f
-    # Only the kept children are built, tile by tile and row di by row:
-    # a row holds the columns j' from f j + lo to f j + width - 1, where lo is
-    # di on the diagonal (i' <= j') and 0 off it, and width stops j' s' < n.
-    width, diagonal = np.minimum(f, -(-n // side) - f * j), i == j
-    rows = np.where(diagonal, width, f)
-    t = np.repeat(np.arange(len(k)), rows)
-    di = index_runs(0, rows)
-    lo, hi = f * j[t] + np.where(diagonal[t], di, 0), f * j[t] + width[t]
-    k, i, j = np.repeat(k[t], hi - lo), np.repeat(f * i[t] + di, hi - lo), index_runs(lo, hi)
+    di, dj = _child_offsets(f)
+    ci, cj = f * i + di, f * j + dj
+    t, c = np.divmod(np.flatnonzero(((ci <= cj) & (cj * side < n)).T), f * f)
+    k, i, j = k[t], ci[c, t], cj[c, t]
     return [(side, k[s : s + step], i[s : s + step], j[s : s + step]) for s in reversed(range(0, len(k), step))]
 
 

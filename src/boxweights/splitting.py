@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._summation import dd_box_diffs, dd_sub_rounded
-from .characteristics import index_runs, pair_gauge, second_moment_exponent
+from .characteristics import pair_gauge, second_moment_exponent
 from .errors import InfeasibleSplitError, PreconditionError, ZeroMeasureBoxError
 from .exponents import ClassKind, PParam, _as_pparam
 from .grids import BoxIdx, GridMeasure, PrefixTables, WeightGrid, lost_moment_cell, own_tables
@@ -285,6 +285,12 @@ def _between(column, x, y):
     return dd_sub_rounded(h[y], l[y], h[x], l[x])
 
 
+def _index_runs(lo, hi):
+    """The integers lo[0] .. hi[0] - 1, then lo[1] .. hi[1] - 1, and so on, as one array."""
+    count = hi - lo
+    return np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+
+
 def _first_stops(lam, ends, stop, owner, start, end, config: SplitConfig):
     """Segment maxima of the candidates sampled in full, and per node its first stopping candidate.
 
@@ -319,7 +325,7 @@ def _first_stops(lam, ends, stop, owner, start, end, config: SplitConfig):
     searching = searching[first[searching] < 0]
     if not searching.size:
         return psi, first
-    cands = index_runs(start[searching] + 1, end[searching])
+    cands = _index_runs(start[searching] + 1, end[searching])
     out = np.zeros(cands.size, dtype=bool)
     for lo, part in calls(cands, 4):
         out[lo:lo + part.size] = _out_of_band(lam, *(x[part] for x in ends), config.kind, config.p, config.Q1)
@@ -329,7 +335,7 @@ def _first_stops(lam, ends, stop, owner, start, end, config: SplitConfig):
         sample(survivors[head])
         survivors = survivors[~head & (first[owner[survivors]] < 0)]
     searching = searching[first[searching] < 0]
-    cands = index_runs(start[searching] + 1, end[searching])
+    cands = _index_runs(start[searching] + 1, end[searching])
     sample(cands[~sampled[cands]])
     return psi, first
 
@@ -367,7 +373,7 @@ def _split_level(measure: GridMeasure, tables: PrefixTables, config: SplitConfig
     counts = b - a - 1
     positions = np.cumsum(counts) - counts
     node = np.repeat(np.arange(live.size), counts)
-    k = index_runs(a + 1, b)
+    k = _index_runs(a + 1, b)
     left_mass = _between(columns[0], a[node], k)
     ratios = left_mass / total[node]
     window = np.flatnonzero((config.c < ratios) & (ratios < 1.0 - config.c))
