@@ -63,6 +63,26 @@ def two_sum(a, b):
     return s, e
 
 
+def _split(a):
+    """Dekker's split: hi + lo == a, each half with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def two_prod(a, b):
+    """Dekker's two-product (1971): p + e == a * b exactly, p = fl(a * b).
+
+    Exact unless a or b times 2**27 + 1 overflows or a partial product of
+    the split halves underflows.
+    """
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, e
+
+
 def dd_add(ah, al, bh, bl):
     """Add two double-double values, renormalized to (hi, lo)."""
     s, e = two_sum(ah, bh)

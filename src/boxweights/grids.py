@@ -21,6 +21,7 @@ under- or overflow; the splitter refuses a box with it.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import os
 import re
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._summation import dd_box_diffs, dd_prefix_tables, dd_sub_rounded
+from ._summation import dd_box_diffs, dd_prefix_tables, dd_sub_rounded, two_prod
 from .errors import PreconditionError, ZeroMeasureBoxError
 
 
@@ -480,7 +481,8 @@ def box_average(measure, weight, box: BoxIdx, s: float, tables: PrefixTables | N
 # that runs to end of line, floats may be plain decimal or C99 hex
 # (0x1.8p-1) literals.  See README for the layout.  Files are read and
 # written a chunk at a time, so memory is the arrays read or written plus
-# one chunk of text.
+# one chunk of text.  The writer gives repr's text for every float; it
+# decides the digits of a chunk in numpy (_wrap_floats).
 # ----------------------------------------------------------------------
 
 
@@ -612,16 +614,189 @@ def _grid_pieces(measure: GridMeasure, weight: WeightGrid):
 
 # floats per line of a written file, and per piece handed to the writer
 _FLOATS_PER_LINE = 8
-_WRITE_BLOCK = 512 * _FLOATS_PER_LINE
+_WRITE_BLOCK = 256 * _FLOATS_PER_LINE
+
+# The columns _format_block gathers a value's characters from: "0" and the 17
+# digits (columns 0 to 17), '.', '-', 'e', the exponent's sign, hundreds and
+# last two digits, the separator and NUL.
+_SOURCE = np.frombuffer(b"0" * 18 + b".-e+000 \0", dtype=np.uint8)
+_ZERO, _POINT, _MINUS, _E, _NUL = 0, 18, 19, 20, 26
+_TEXT_WIDTH = 25  # the longest text, "-2.2250738585072014e-308", and a separator
+_UNITS = np.array([[100.0], [10.0], [1.0]])
 
 
 def _wrap_floats(arr):
-    """The floats as lines of text, repr each, in pieces of _WRITE_BLOCK floats."""
+    """The floats as lines of text, repr each, in pieces of _WRITE_BLOCK floats.
+
+    repr(float(v)) is the shortest digit string that reads back to v, and
+    of those the closest to v (Gay, "Correctly rounded binary-decimal and
+    decimal-binary conversions", 1990; Adams, "Ryu", PLDI 2018).
+    _format_block decides it a block at a time in double-double: with y =
+    |v| * 10**(16 - e), e the decimal exponent of v, and H half an ulp of v
+    scaled alike, a string reads back to v if it lies within H of y.  The
+    first of y's roundings to multiples of 100, 10 and 1 (15, 16 and 17
+    digits) within H is repr's digit string, trailing zeros dropped:
+
+    - H < 12, so at most one string of 15 digits or fewer reads back, and
+      then it is the nearest multiple of 100;
+    - the interval is symmetric about y unless v is a power of two, so the
+      closest 16- or 17-digit string is the rounding of y;
+    - the 17-digit rounding always reads back (H > 0.55).
+
+    y is known to within 1e-14.  A value with a rounding within 1e-9 of H
+    (a string exactly H away reads back only to a v whose last bit is 0)
+    or of a tie, a zero, subnormal, power of two, inf or nan, or a decimal
+    exponent outside (-280, 290), where Dekker's split could overflow, goes
+    to _fallback instead.
+    """
     arr = np.asarray(arr, dtype=np.float64).reshape(-1)
     for start in range(0, arr.size, _WRITE_BLOCK):
-        vals = arr[start : start + _WRITE_BLOCK].tolist()
-        lines = range(0, len(vals), _FLOATS_PER_LINE)
-        yield "\n".join([" ".join(map(repr, vals[i : i + _FLOATS_PER_LINE])) for i in lines]) + "\n"
+        yield _format_block(arr[start : start + _WRITE_BLOCK])
+
+
+def _fallback(v: float) -> str:
+    """The text of a value the fast path of _format_block leaves undecided."""
+    return repr(v)
+
+
+@functools.cache
+def _pow10(p: int) -> tuple[float, float]:
+    """10**p as hi + lo: hi the rounded double, lo the rounded rest (exact ints)."""
+    num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b)
+
+
+def _scaled(x, e):
+    """(yh, yl) the normalised pair of x * 10**(16 - e), and 10**(16 - e) rounded."""
+    p = 16 - e
+    low = int(p.min())
+    pow_hi, pow_lo = np.array([_pow10(k) for k in range(low, int(p.max()) + 1)]).T
+    p10 = pow_hi[p - low]
+    hi, err = two_prod(x, p10)
+    err += x * pow_lo[p - low]
+    yh = hi + err
+    return yh, err - (yh - hi), p10
+
+
+@functools.cache
+def _digit_pairs() -> np.ndarray:
+    """The characters "00" to "99" as 100 uint16."""
+    return np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16)
+
+
+def _layout_row(key: int) -> list[int]:
+    """The _SOURCE columns of the text of a value of layout key ``key``.
+
+    key = neg + 2 * (ndig - 1 + 17 * c), for a '-' sign (neg), ndig digits
+    and c = decpt + 3 in fixed form (-4 < decpt <= 16, the value being
+    0.d1d2... * 10**decpt) or c = 20, 21 in exponent form with two or three
+    exponent digits: repr's 'r' format rules.
+    """
+    neg, ndig, c = key % 2, key // 2 % 17 + 1, key // 34
+    digits = list(range(1, ndig + 1))
+    if c >= 20:
+        point = [_POINT, *digits[1:]] if ndig > 1 else []
+        text = [digits[0], *point, _E, _E + 1, *[_E + 2] * (c - 20), _E + 3, _E + 4]
+    elif (decpt := c - 3) <= 0:
+        text = [_ZERO, _POINT, *[_ZERO] * -decpt, *digits]
+    elif decpt < ndig:
+        text = [*digits[:decpt], _POINT, *digits[decpt:]]
+    else:
+        text = [*digits, *[_ZERO] * (decpt - ndig), _POINT, _ZERO]
+    text = [_MINUS] * neg + text + [_E + 5]
+    return text + [_NUL] * (_TEXT_WIDTH - len(text))
+
+
+@functools.cache
+def _layouts() -> tuple[np.ndarray, np.ndarray]:
+    """Room for the _layout_row of every key, and which are filled."""
+    return np.zeros((2 * 17 * 22, _TEXT_WIDTH), dtype=np.uint8), np.zeros(2 * 17 * 22, dtype=bool)
+
+
+def _layout_rows(key: np.ndarray) -> np.ndarray:
+    """The _layout_row of each key, each built on first use."""
+    rows, filled = _layouts()
+    for k in set(key[~filled[key]].tolist()):
+        rows[k], filled[k] = _layout_row(k), True
+    return rows.take(key, axis=0)
+
+
+def _shortest_digits(a: np.ndarray):
+    """(digits, decpt, fast): repr's digits of each |a| as a 17-digit int, trailing zeros kept.
+
+    |a| reads 0.d1d2...d17 * 10**decpt where ``fast`` holds; elsewhere
+    the value is left to _fallback (see _wrap_floats).
+    """
+    x = np.abs(a)
+    mantissa, exp2 = np.frexp(x)
+    fast = (mantissa > 0.5) & (mantissa < 1.0)  # no zero, power of two, inf or nan
+    e = np.floor(np.log10(np.where(fast, x, 1.5)))
+    fast &= (e > -280) & (e < 290)  # no subnormal, and Dekker's split stays finite
+    x = np.where(fast, x, 1.5)
+    e = np.where(fast, e, 0.0).astype(np.int64)
+    yh, yl, p10 = _scaled(x, e)
+    half = np.ldexp(p10, exp2 - 54)
+    yi = yh.astype(np.int64)
+    base = yi // 100 * 100
+    g = (yi - base) + yl  # y - base, in [-8, 108)
+    # rows: y rounded to 15, 16 and 17 digits, and their distances from y
+    r = np.rint(g / _UNITS) * _UNITS
+    dist = np.abs(r - g)
+    fast &= np.minimum(np.abs(dist - half), np.abs(dist - _UNITS / 2)).min(axis=0) > 1e-9
+    inside = dist < half  # the 17 digits always are
+    digits = base + np.where(inside[0], r[0], np.where(inside[1], r[1], r[2])).astype(np.int64)
+    # off where log10 was a decade off or y rounded to 10**17
+    fast &= (digits >= 10**16) & (digits < 10**17)
+    return digits, e + 1, fast
+
+
+def _text_source(a: np.ndarray, digits: np.ndarray, decpt: np.ndarray):
+    """(src, key): per value, _SOURCE with its characters filled in, and its layout key."""
+    n = a.size
+    # "0" and the 17 digits: the first 9 (hi) and the last 8 (lo) two at a time
+    hi = digits // 10**8
+    v = np.concatenate([hi, digits - hi * 10**8])
+    pairs = np.empty((2 * n, 5), dtype=np.int64)
+    for col in range(4, 0, -1):
+        q = v // 100
+        pairs[:, col] = v - 100 * q
+        v = q
+    pairs[:, 0] = v
+    chars = _digit_pairs()[pairs].view(np.uint8)
+    src = np.empty((n, _SOURCE.size), dtype=np.uint8)
+    src[:] = _SOURCE
+    src[:, :10], src[:, 10:18] = chars[:n], chars[n:, 2:]
+    ndig = 17 - np.argmax(src[:, 17:0:-1] != 48, axis=1)
+    # the exponent's sign, hundreds and last two digits
+    x10 = np.abs(decpt - 1)
+    hundreds = x10 // 100
+    src[:, _E + 1] = 43 + 2 * (decpt < 1)
+    src[:, _E + 2] = hundreds + 48
+    src[:, _E + 3 : _E + 5] = _digit_pairs()[x10 - 100 * hundreds].view(np.uint8).reshape(n, 2)
+    src[_FLOATS_PER_LINE - 1 :: _FLOATS_PER_LINE, _E + 5] = 10
+    src[-1, _E + 5] = 10
+    c = np.where((decpt > -4) & (decpt <= 16), decpt + 3, 20 + (hundreds > 0))
+    return src, (a < 0) + 2 * (ndig - 1 + 17 * c)
+
+
+def _format_block(a: np.ndarray) -> str:
+    """Lines of the values of ``a``, 8 a line, as repr writes each (see _wrap_floats).
+
+    Each value's characters are gathered into a row of _TEXT_WIDTH bytes,
+    NUL-padded; one compress drops the padding.
+    """
+    digits, decpt, fast = _shortest_digits(a)
+    src, key = _text_source(a, digits, decpt)
+    out = src.reshape(-1).take(_layout_rows(key) + np.arange(0, src.size, _SOURCE.size)[:, None])
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        seps = src[slow, _E + 5].tobytes().decode()
+        text = [_fallback(v) + sep for v, sep in zip(a[slow].tolist(), seps)]
+        out[slow] = np.array(text, dtype=f"S{_TEXT_WIDTH}").view(np.uint8).reshape(-1, _TEXT_WIDTH)
+    flat = out.reshape(-1)
+    return flat[flat != 0].tobytes().decode("ascii")
 
 
 def _atomic_write(path, pieces) -> None:

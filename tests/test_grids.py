@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from unittest import mock
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from boxweights import (
     BoxIdx,
@@ -25,7 +30,7 @@ from boxweights import (
 from boxweights import grids
 from boxweights.bellman import BellmanCandidate, CandidateTable, read_candidate, write_candidate
 from boxweights.errors import PreconditionError, ZeroMeasureBoxError
-from boxweights._summation import dd_add, dd_box_diffs, dd_prefix_tables, dd_sub, dd_sub_rounded
+from boxweights._summation import dd_add, dd_box_diffs, dd_prefix_tables, dd_sub, dd_sub_rounded, two_prod
 from boxweights.grids import (
     _parse_float,
     _parse_floats,
@@ -38,7 +43,7 @@ from boxweights.grids import (
     uniform_measure,
 )
 
-from conftest import FIXTURE_DIR, random_pair
+from conftest import FIXTURE_DIR, REPO_ROOT, random_pair
 
 
 class TestValidate:
@@ -676,6 +681,123 @@ values 2
         path.write_text("grid 1\ndim 1\nbreakpoints 0 3\n0.0 0.5\n")
         with pytest.raises(PreconditionError, match="truncated"):
             read_grid(path)
+
+
+def _repr_lines(arr) -> str:
+    """The text _wrap_floats must give: repr(float(v)) per value, 8 a line."""
+    vals = np.asarray(arr, dtype=np.float64).reshape(-1).tolist()
+    return "".join(" ".join(map(repr, vals[i : i + 8])) + "\n" for i in range(0, len(vals), 8))
+
+
+def _assert_writes_repr(arr) -> None:
+    """_wrap_floats gives _repr_lines; on a mismatch, names the first differing line."""
+    got, want = "".join(_wrap_floats(arr)), _repr_lines(arr)
+    if got != want:
+        diff = [(i, g, w) for i, (g, w) in enumerate(itertools.zip_longest(got.split("\n"), want.split("\n")))
+                if g != w]
+        pytest.fail(f"{len(diff)} lines differ, the first: line {diff[0][0]}, {diff[0][1]!r} != {diff[0][2]!r}")
+
+
+def _ties(rng, n):
+    """Doubles m / 2**17 in [1, 10), m odd: 18 digits ending in 5, a tie at 17 digits."""
+    return (2 * rng.integers(2**16, 5 * 2**17, n) + 1) / 2.0**17
+
+
+def _boundaries(rng, n):
+    """Doubles with a 16-digit string exactly half an ulp away: the string reads
+    back to them when their last bit is 0 (18014398509481992.0 is
+    1.801439850948199e+16) and to a neighbour when it is 1."""
+    j = rng.integers(2**54 // 20, 2**55 // 20 - 1, n)  # ulp 4: x = 0 mod 4, 2 away from 10Z
+    k = rng.integers(2**55 // 40, 2**56 // 40 - 1, n)  # ulp 8: x = 0 mod 8, 4 away from 10Z
+    return np.concatenate([20 * j + 8, 20 * j + 12, 40 * k + 16, 40 * k + 24]).astype(np.float64)
+
+
+def _writer_corpus() -> np.ndarray:
+    """1.1e6 seeded values of the kinds grid files hold, and the formatter's hard cases."""
+    rng = np.random.default_rng(20)
+    sign = lambda n: rng.choice([-1.0, 1.0], n)  # noqa: E731
+    finfo = np.finfo(np.float64)
+    return np.concatenate([
+        np.exp(rng.normal(0.0, 2.0, 250_000)),
+        sign(250_000) * np.exp(rng.uniform(-700.0, 700.0, 250_000)),
+        rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64),
+        sign(100_000) * rng.integers(0, 10**7, 100_000) / 10.0 ** rng.integers(0, 6, 100_000),
+        rng.integers(-(2**53), 2**53, 100_000).astype(np.float64),
+        np.cumsum(rng.uniform(0.0, 1e-3, 100_000)),
+        sign(50_000) * _ties(rng, 50_000),
+        _boundaries(rng, 20_000),
+        np.ldexp(1.0, np.arange(-1074, 1024)), -np.ldexp(1.0, np.arange(-1074, 1024)),
+        [9999999999999998.0, 1e16, 1e-4, 1e-5, 5e-324, finfo.max, -finfo.max, finfo.tiny, 0.0, -0.0,
+         np.inf, -np.inf, np.nan, 1e23, 1e22, 0.1, 0.3, 1.0 / 3.0, 123456789012345678.0],
+    ])
+
+
+class TestTwoProd:
+    def test_exact_over_the_writers_magnitudes(self):
+        # the writer multiplies x in (1e-280, 1e291) by 10**(16 - e); the split
+        # overflows beyond about 1.3e300, so operands run up to 1e300
+        rng = np.random.default_rng(21)
+        n = 3000
+        a = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-280, 291, n)
+        b = rng.uniform(1.0, 10.0, n) * 10.0 ** (15 - np.floor(np.log10(a)))
+        near_limit = rng.uniform(1.0, 1.34, 200) * 1e300
+        a = np.concatenate([a, near_limit, 1.0 / near_limit, -a[:100]])
+        b = np.concatenate([b, rng.uniform(1.0, 10.0, 200) * 1e-290, rng.uniform(1.0, 10.0, 200) * 1e290, b[:100]])
+        hi, lo = two_prod(a, b)
+        assert np.array_equal(hi, a * b)
+        for x, y, h, l in zip(a.tolist(), b.tolist(), hi.tolist(), lo.tolist()):
+            assert Fraction(h) + Fraction(l) == Fraction(x) * Fraction(y)
+
+
+class TestFloatWriter:
+    """_wrap_floats writes repr(float(v)) per value, decided a block at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.integers(0, 3 * grids._WRITE_BLOCK),
+                  elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+    def test_equals_repr_on_any_array(self, arr):
+        _assert_writes_repr(arr)
+
+    def test_equals_repr_on_a_seeded_corpus(self):
+        corpus = _writer_corpus()
+        assert corpus.size >= 10**6
+        _assert_writes_repr(corpus)
+
+    def test_fast_path_decides_and_ties_fall_back(self):
+        rng = np.random.default_rng(22)
+        lognormal = np.exp(rng.normal(0.0, 1.0, 10**5))
+        ties = _ties(rng, 1000)
+        with mock.patch.object(grids, "_fallback", wraps=grids._fallback) as fallback:
+            _assert_writes_repr(lognormal)
+            assert fallback.call_count <= 100
+            fallback.reset_mock()
+            _assert_writes_repr(ties)
+        assert sorted(call.args[0] for call in fallback.call_args_list) == sorted(ties.tolist())
+
+    @pytest.mark.parametrize("name", ["multi_axis/grid2d.txt", "multi_axis/grid3d.txt"])
+    def test_rewritten_grid_fixture_is_byte_identical(self, tmp_path, name):
+        path = tmp_path / "grid.txt"
+        write_grid(path, *read_grid(FIXTURE_DIR / name))
+        assert path.read_bytes() == (FIXTURE_DIR / name).read_bytes()
+
+    @pytest.mark.parametrize("name", ["candidate_ap_p2_r12_Q2.txt", "candidate_control_x13.txt"])
+    def test_rewritten_candidate_fixture_is_byte_identical(self, tmp_path, name):
+        path = tmp_path / "candidate.txt"
+        write_candidate(path, read_candidate(FIXTURE_DIR / name))
+        assert path.read_bytes() == (FIXTURE_DIR / name).read_bytes()
+
+    def test_writing_loads_no_fractions_or_decimal(self, tmp_path):
+        # a fresh process pays for every module the writer imports
+        code = (
+            "import sys, numpy as np, boxweights\n"
+            "m, w = boxweights.power_weight_grid(0.5, 64)\n"
+            f"boxweights.write_grid({str(tmp_path / 'grid.txt')!r}, m, w)\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+        assert (tmp_path / "grid.txt").stat().st_size > 0
 
 
 def _outcome(read, path):
