@@ -620,7 +620,7 @@ _WRITE_BLOCK = 256 * _FLOATS_PER_LINE
 # digits (columns 0 to 17), '.', '-', 'e', the exponent's sign, hundreds and
 # last two digits, the separator and NUL.
 _SOURCE = np.frombuffer(b"0" * 18 + b".-e+000 \0", dtype=np.uint8)
-_ZERO, _POINT, _MINUS, _E, _NUL = 0, 18, 19, 20, 26
+_ZERO, _POINT, _MINUS, _E, _SEP, _NUL = 0, 18, 19, 20, 25, 26
 _TEXT_WIDTH = 25  # the longest text, "-2.2250738585072014e-308", and a separator
 _UNITS = np.array([[100.0], [10.0], [1.0]])
 
@@ -705,7 +705,7 @@ def _layout_row(key: int) -> list[int]:
         text = [*digits[:decpt], _POINT, *digits[decpt:]]
     else:
         text = [*digits, *[_ZERO] * (decpt - ndig), _POINT, _ZERO]
-    text = [_MINUS] * neg + text + [_E + 5]
+    text = [_MINUS] * neg + text + [_SEP]
     return text + [_NUL] * (_TEXT_WIDTH - len(text))
 
 
@@ -768,15 +768,15 @@ def _text_source(a: np.ndarray, digits: np.ndarray, decpt: np.ndarray):
     src = np.empty((n, _SOURCE.size), dtype=np.uint8)
     src[:] = _SOURCE
     src[:, :10], src[:, 10:18] = chars[:n], chars[n:, 2:]
-    ndig = 17 - np.argmax(src[:, 17:0:-1] != 48, axis=1)
+    ndig = 17 - np.argmax(src[:, 17:0:-1] != ord("0"), axis=1)
     # the exponent's sign, hundreds and last two digits
     x10 = np.abs(decpt - 1)
     hundreds = x10 // 100
-    src[:, _E + 1] = 43 + 2 * (decpt < 1)
-    src[:, _E + 2] = hundreds + 48
+    src[:, _E + 1] = ord("+") + 2 * (decpt < 1)  # "+" or "-"
+    src[:, _E + 2] = hundreds + ord("0")
     src[:, _E + 3 : _E + 5] = _digit_pairs()[x10 - 100 * hundreds].view(np.uint8).reshape(n, 2)
-    src[_FLOATS_PER_LINE - 1 :: _FLOATS_PER_LINE, _E + 5] = 10
-    src[-1, _E + 5] = 10
+    src[_FLOATS_PER_LINE - 1 :: _FLOATS_PER_LINE, _SEP] = ord("\n")
+    src[-1, _SEP] = ord("\n")
     c = np.where((decpt > -4) & (decpt <= 16), decpt + 3, 20 + (hundreds > 0))
     return src, (a < 0) + 2 * (ndig - 1 + 17 * c)
 
@@ -792,7 +792,7 @@ def _format_block(a: np.ndarray) -> str:
     out = src.reshape(-1).take(_layout_rows(key) + np.arange(0, src.size, _SOURCE.size)[:, None])
     slow = np.flatnonzero(~fast)
     if slow.size:
-        seps = src[slow, _E + 5].tobytes().decode()
+        seps = src[slow, _SEP].tobytes().decode()
         text = [_fallback(v) + sep for v, sep in zip(a[slow].tolist(), seps)]
         out[slow] = np.array(text, dtype=f"S{_TEXT_WIDTH}").view(np.uint8).reshape(-1, _TEXT_WIDTH)
     flat = out.reshape(-1)
