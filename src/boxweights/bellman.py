@@ -292,25 +292,15 @@ def _candidate_pieces(cand: BellmanCandidate, table: CandidateTable):
 
 def read_candidate(path) -> BellmanCandidate:
     with _TokenReader(path, "candidate") as tok:
-        tok.expect("candidate")
-        if tok.take()[0] != "1":
+        if tok.field("candidate", str) != "1":
             raise PreconditionError(f"unsupported candidate format version in {path}")
-        tok.expect("class")
-        kind = ClassKind(tok.take()[0])
-        tok.expect("p")
-        p = PParam(_parse_float(tok.take()[0]))
-        tok.expect("r")
-        r = _parse_float(tok.take()[0])
-        tok.expect("Q")
-        Q = _parse_float(tok.take()[0])
-        tok.expect("x1grid")
-        n1 = int(tok.take()[0])
-        xi0, xi1 = (_parse_float(t) for t in tok.take(2))
-        tok.expect("x2grid")
-        n2 = int(tok.take()[0])
-        eta0, eta1 = (_parse_float(t) for t in tok.take(2))
-        tok.expect("values")
-        count = int(tok.take()[0])
+        kind = tok.field("class", ClassKind)
+        p = PParam(tok.field("p", _parse_float))
+        r = tok.field("r", _parse_float)
+        Q = tok.field("Q", _parse_float)
+        n1, xi0, xi1 = tok.field("x1grid", int, _parse_float, _parse_float)
+        n2, eta0, eta1 = tok.field("x2grid", int, _parse_float, _parse_float)
+        count = tok.field("values", int)
         if count != n1 * n2:
             raise PreconditionError(f"candidate value count mismatch in {path}")
         values = tok.floats(count).reshape(n1, n2)

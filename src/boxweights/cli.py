@@ -72,6 +72,7 @@ DEFAULTS = {
     "refine_levels": DEFAULT_REFINE_LEVELS,
     "stability_rtol": DEFAULT_STABILITY_RTOL,
     "sharpness_cells": (256, 1024, 4096, 16384),
+    "conclusion_cells": 256,
     "a_side_inside_offset": 0.1,
     "rh_side_inside_offset": -0.5,
 }
@@ -87,6 +88,26 @@ def _text(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
+
+
+def _params(args, *drop, **resolved) -> dict:
+    """A CSV's ``# param`` block: the parsed options but the output paths and drop, then resolved."""
+    drop = {"csv", "out", "trace", "report", "func", *drop}
+    params = {"class" if k == "klass" else k: v for k, v in vars(args).items() if k not in drop}
+    return {**params, **resolved}
+
+
+def _option(flag: str, parse, text: str):
+    """parse(text), with a ValueError turned into a PreconditionError that names the option."""
+    try:
+        return parse(text)
+    except ValueError as err:
+        raise PreconditionError(f"bad {flag} '{text}': {err}") from None
+
+
+def _float_pair(text: str) -> tuple[float, float]:
+    lo, hi = map(float, text.split(","))
+    return lo, hi
 
 
 def _write_csv(path, params: dict, columns, rows) -> None:
@@ -120,8 +141,7 @@ def cmd_exponents(args) -> int:
         row[name] = getattr(rng, name)
     _print_row(row)
     if args.csv:
-        params = {"command": "exponents", "class": args.klass, "p": args.p, "Q": args.Q}
-        _write_csv(args.csv, params, tuple(row), [row])
+        _write_csv(args.csv, _params(args), tuple(row), [row])
     return 0
 
 
@@ -137,8 +157,7 @@ def cmd_characteristic(args) -> int:
     }
     _print_row(row)
     if args.csv:
-        params = {"command": "characteristic", "class": args.klass, "p": args.p, "grid": args.grid}
-        _write_csv(args.csv, params, tuple(row), [row])
+        _write_csv(args.csv, _params(args), tuple(row), [row])
     return 0
 
 
@@ -154,7 +173,7 @@ def cmd_sharpness(args) -> int:
         probe, sharp_q, offset = ClassKind.REVERSE_HOLDER, rng.rh_upper, DEFAULTS["rh_side_inside_offset"]
     critical_q = sharp_q if args.critical_q is None else args.critical_q
     inside_q = critical_q + offset if args.inside_q is None else args.inside_q
-    cells = [int(c) for c in args.cells.split(",")]
+    cells = _option("--cells", lambda text: [int(c) for c in text.split(",")], args.cells)
     rows = []
     for n in cells:
         measure, weight = power_weight_grid(alpha, n)
@@ -181,22 +200,10 @@ def cmd_sharpness(args) -> int:
             f"{label}: rel gaps {['%.4f' % g for g in gaps]}, "
             f"increment ratios {['%.3f' % r for r in ratios]}"
         )
-    params = {
-        "command": "sharpness",
-        "class": args.klass,
-        "p": args.p,
-        "Q": args.Q,
-        "side": args.side,
-        "alpha": alpha,
-        "probe_class": probe.value,
-        "cells": args.cells,
-        "critical_q": critical_q,
-        "inside_q": inside_q,
-    }
     if args.out:
         _write_csv(
             args.out,
-            params,
+            _params(args, alpha=alpha, probe_class=probe.value, critical_q=critical_q, inside_q=inside_q),
             ("cells", "critical_q", "critical_value", "inside_q", "inside_value"),
             rows,
         )
@@ -223,7 +230,7 @@ def cmd_split(args) -> int:
         Q1=Q1,
         c=args.c,
         levels=args.levels,
-        segment_samples=args.samples,
+        segment_samples=args.segment_samples,
     )
     tree = build_tree(measure, weight, config, tables=tables)
     for level in range(tree.depth + 1):
@@ -238,17 +245,6 @@ def cmd_split(args) -> int:
                 else ""
             )
         )
-    params = {
-        "command": "split",
-        "class": args.klass,
-        "p": args.p,
-        "Q": Q,
-        "Q1": Q1,
-        "c": args.c,
-        "levels": args.levels,
-        "segment_samples": args.samples,
-        "grid": args.grid,
-    }
     if args.trace:
         # one row per node, breadth first; a leaf has no split record
         rows = [
@@ -256,7 +252,7 @@ def cmd_split(args) -> int:
              "x1": n.point.x1, "x2": n.point.x2, "segment_max": n.segment_psi_max, "diameter": n.diameter}
             for n in tree.nodes()
         ]
-        _write_csv(args.trace, params, tuple(rows[0]), rows)
+        _write_csv(args.trace, _params(args, Q=Q, Q1=Q1), tuple(rows[0]), rows)
     return 0
 
 
@@ -264,12 +260,12 @@ def cmd_bellman_verify(args) -> int:
     kind = ClassKind(args.klass)
     p = PParam(args.p)
     if args.candidate.startswith("builtin:"):
-        cand = builtin_candidate(args.candidate, kind, p, args.Q)
+        cand = _option("--candidate", lambda text: builtin_candidate(text, kind, p, args.Q), args.candidate)
     else:
         cand = read_candidate(args.candidate)
     r = args.r if args.r is not None else cand.r
     region = AveragePairRegion(kind, p, args.Q)
-    x1_lo, x1_hi = (float(t) for t in args.x1_range.split(","))
+    x1_range = _option("--x1-range", _float_pair, args.x1_range)
     report = verify_candidate(
         region,
         cand,
@@ -277,7 +273,7 @@ def cmd_bellman_verify(args) -> int:
         segments=args.segments,
         seed=args.seed,
         rel_tol=args.tol,
-        x1_range=(x1_lo, x1_hi),
+        x1_range=x1_range,
     )
     verdict = "pass" if report.verdict else "fail"
     print(
@@ -293,18 +289,6 @@ def cmd_bellman_verify(args) -> int:
     if report.failure_point is not None:
         print(f"  candidate undefined at {report.failure_point}")
     if args.report:
-        params = {
-            "command": "bellman-verify",
-            "class": args.klass,
-            "p": args.p,
-            "Q": args.Q,
-            "r": r,
-            "candidate": args.candidate,
-            "segments": args.segments,
-            "seed": args.seed,
-            "tol": args.tol,
-            "x1_range": args.x1_range,
-        }
         rows = [
             {
                 "record": "summary",
@@ -326,7 +310,7 @@ def cmd_bellman_verify(args) -> int:
             )
         columns = ("record", "lam", "deficit", "x_a", "x_b", "verdict", "violations",
                    "boundary_max_error", "c_hat")
-        _write_csv(args.report, params, columns, rows)
+        _write_csv(args.report, _params(args, r=r), columns, rows)
     return 0
 
 
@@ -357,18 +341,11 @@ def cmd_conclusion_check(args) -> int:
         + (f" contraction={report.contraction:.4g}" if report.contraction else "")
     )
     if args.out:
-        params = {
-            "command": "conclusion-check",
-            "class": args.klass,
-            "p": args.p,
-            "Q": args.Q,
-            "q": args.q,
-            "probe_class": report.probe_kind.value,
-            "refine_factor": args.refine_factor,
-            "levels": args.levels,
-            "stability_rtol": args.stability_rtol,
-            "grid": args.grid or f"power:{args.alpha}:{args.cells}",
-        }
+        # the grid source stands for --alpha and --cells
+        params = _params(
+            args, "alpha", "cells", probe_class=report.probe_kind.value,
+            grid=args.grid or f"power:{args.alpha}:{args.cells}",
+        )
         rows = [
             {"cells": c, "value": v}
             for c, v in zip(report.cell_counts, report.values)
@@ -381,11 +358,9 @@ def cmd_conclusion_check(args) -> int:
 def cmd_make_grid(args) -> int:
     if args.generator == "power":
         measure, weight = power_weight_grid(args.alpha, args.cells)
-    elif args.generator == "constant":
+    else:
         measure = uniform_measure(args.cells)
         weight = WeightGrid(np.full(measure.shape, args.value))
-    else:
-        raise PreconditionError(f"unknown generator {args.generator}")
     write_grid(args.out, measure, weight)
     print(f"wrote {args.out} ({args.generator}, {args.cells} cells)")
     return 0
@@ -460,10 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_class_p(sp)
     sp.add_argument("--grid", required=True)
     sp.add_argument("--Q", type=float, default=None, help="default: grid characteristic")
-    sp.add_argument("--Q1", type=float, default=None, help="default: 1.05 * Q")
+    sp.add_argument("--Q1", type=float, default=None, help=f"default: {DEFAULTS['q1_factor']} * Q")
     sp.add_argument("--c", type=float, default=DEFAULTS["ratio_c"])
     sp.add_argument("--levels", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=DEFAULTS["segment_samples"])
+    sp.add_argument(
+        "--samples", dest="segment_samples", metavar="SAMPLES", type=int, default=DEFAULTS["segment_samples"]
+    )
     sp.add_argument("--trace", default=None)
     sp.set_defaults(func=cmd_split)
 
@@ -490,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--probe-class", choices=["ap", "rh"], default=None)
     sp.add_argument("--grid", default=None)
     sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--cells", type=int, default=256)
+    sp.add_argument("--cells", type=int, default=DEFAULTS["conclusion_cells"])
     sp.add_argument("--refine-factor", type=int, default=DEFAULTS["refine_factor"])
     sp.add_argument("--levels", type=int, default=DEFAULTS["refine_levels"])
     sp.add_argument("--stability-rtol", type=float, default=DEFAULTS["stability_rtol"])
@@ -518,19 +495,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InfeasibleSplitError as exc:
         print(f"infeasible split: {exc}", file=sys.stderr)
         return 4
     except NumericFailureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except BoxweightsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (BoxweightsError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

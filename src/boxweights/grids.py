@@ -147,12 +147,8 @@ class GridMeasure:
         return float(bp[b] - bp[a])
 
     def box_diameter(self, box: BoxIdx) -> float:
-        return math.sqrt(
-            sum(
-                self.edge_length(ax, a, b) ** 2
-                for ax, (a, b) in enumerate(box.ranges)
-            )
-        )
+        edges = (self.edge_length(ax, a, b) for ax, (a, b) in enumerate(box.ranges))
+        return math.sqrt(sum(e * e for e in edges))
 
 
 @dataclass(frozen=True)
@@ -586,13 +582,23 @@ class _TokenReader:
                     error = err
             done += len(toks)
         if error is not None:
-            raise error
+            raise PreconditionError(str(error)) from error
         return out
 
-    def expect(self, keyword):
+    def field(self, keyword, *parsers):
+        """The keyword, then one token per parser: the parsed value, or a list of them.
+
+        A parser's ValueError becomes a PreconditionError naming the keyword and the file.
+        """
         got = self.take()[0]
         if got != keyword:
             raise PreconditionError(f"expected '{keyword}' in {self.path}, found '{got}'")
+        toks = self.take(len(parsers))
+        try:
+            values = [parse(t) for parse, t in zip(parsers, toks)]
+        except ValueError as err:
+            raise PreconditionError(f"bad '{keyword}' in {self.kind} file {self.path}: {err}") from None
+        return values[0] if len(values) == 1 else values
 
 
 def write_grid(path, measure: GridMeasure, weight: WeightGrid) -> None:
@@ -817,31 +823,23 @@ def _atomic_write(path, pieces) -> None:
 def read_grid(path) -> tuple[GridMeasure, WeightGrid]:
     """Read a measure/weight pair written by write_grid."""
     with _TokenReader(path, "grid") as tok:
-        tok.expect("grid")
-        version = tok.take()[0]
+        version = tok.field("grid", str)
         if version != "1":
             raise PreconditionError(f"unsupported grid format version {version}")
-        tok.expect("dim")
-        ndim = int(tok.take()[0])
         bps = []
-        for ax in range(ndim):
-            tok.expect("breakpoints")
-            got_ax = int(tok.take()[0])
+        for ax in range(tok.field("dim", int)):
+            got_ax, n = tok.field("breakpoints", int, int)
             if got_ax != ax:
                 raise PreconditionError(f"breakpoints out of order in {path}")
-            bps.append(tok.floats(int(tok.take()[0])))
+            bps.append(tok.floats(n))
         shape = tuple(b.size - 1 for b in bps)
-        tok.expect("mass")
-        mass = tok.floats(int(tok.take()[0])).reshape(shape)
-        tok.expect("values")
-        values = tok.floats(int(tok.take()[0])).reshape(shape)
+        mass = tok.floats(tok.field("mass", int)).reshape(shape)
+        values = tok.floats(tok.field("values", int)).reshape(shape)
         power_alpha = None
         if not tok.at_end():
-            tok.expect("generator")
-            gen_kind = tok.take()[0]
+            gen_kind, power_alpha = tok.field("generator", str, _parse_float)
             if gen_kind != "power":
                 raise PreconditionError(f"unknown generator '{gen_kind}' in {path}")
-            power_alpha = _parse_float(tok.take()[0])
     measure = GridMeasure(tuple(bps), mass)
     weight = WeightGrid(values, power_alpha=power_alpha)
     return validate(measure, weight)

@@ -516,9 +516,8 @@ def build_tree(
     failure = None
     for level in range(config.levels + 1):
         lengths = _edge_lengths(measure, ranges)
-        # diameters as GridMeasure.box_diameter computes them: Python's ** and sum
-        squares = np.array([edge**2 for edge in lengths.ravel().tolist()]).reshape(lengths.shape)
-        diameters = np.sqrt(functools.reduce(np.add, squares)).tolist()
+        # diameters as GridMeasure.box_diameter computes them: squares summed axis by axis
+        diameters = np.sqrt(functools.reduce(np.add, lengths * lengths)).tolist()
         split, grow = (), len(boxes)
         if level < config.levels:
             axes = np.argmax(lengths, axis=0)

@@ -77,6 +77,24 @@ def random_pair(rng, max_cells=16, ndim_choices=(1, 2), zero_mass_fraction=0.0):
     return GridMeasure(tuple(bps), mass), WeightGrid(values)
 
 
+_CANDIDATE_HEAD = "candidate 1\nclass ap\np 2.0\nr 1.3\nQ 2.0\nx1grid 2 -1 1\nx2grid 2 -1 1\nvalues 4\n"
+_GRID_HEAD = "grid 1\ndim 1\nbreakpoints 0 3\n"
+
+# name -> (kind, text of a file with one malformed token, the header keyword
+# it follows, or None for a malformed float of a value block)
+MALFORMED_FILES = {
+    "grid dim": ("grid", _GRID_HEAD.replace("dim 1", "dim x") + "0 0.5 1\n", "dim"),
+    "grid breakpoints count": ("grid", _GRID_HEAD.replace("0 3", "0 three") + "0 0.5 1\n", "breakpoints"),
+    "grid mass count": ("grid", _GRID_HEAD + "0 0.5 1\nmass 2.0\n0.5 0.5\n", "mass"),
+    "grid generator": ("grid", _GRID_HEAD + "0 0.5 1\nmass 2\n0.5 0.5\nvalues 2\n1 2\ngenerator power a\n", "generator"),
+    "grid float": ("grid", _GRID_HEAD + "0 0.5 1\nmass 2\n0.5 zz\nvalues 2\n1 2\n", None),
+    "candidate class": ("candidate", _CANDIDATE_HEAD.replace("class ap", "class zz") + "1 1 1 1\n", "class"),
+    "candidate x1grid": ("candidate", _CANDIDATE_HEAD.replace("x1grid 2 -1 1", "x1grid 3 a b") + "1 1 1 1\n", "x1grid"),
+    "candidate r": ("candidate", _CANDIDATE_HEAD.replace("r 1.3", "r 1,3") + "1 1 1 1\n", "r"),
+    "candidate float": ("candidate", _CANDIDATE_HEAD + "1 1 zz 1\n", None),
+}
+
+
 @pytest.fixture(scope="session")
 def majorant_r12(fixture_script):
     """Fine in-memory concave majorant, r=1.2, Q=2 (Muckenhoupt, p=2)."""

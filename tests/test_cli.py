@@ -19,7 +19,7 @@ from boxweights.bellman import refinement_gaps
 from boxweights.cli import DEFAULTS, _text, main
 from boxweights.grids import uniform_measure
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, MALFORMED_FILES
 
 
 def run(capsys, *argv):
@@ -65,9 +65,14 @@ class TestExponentsCommand:
             "exponents", "--class", "ap", "--p", "2", "--Q", "2", "--csv", str(path),
         )
         assert code == 0
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# boxweights 0.1.0"
-        assert any(line.startswith("# param command=exponents") for line in lines)
+        assert path.read_text().splitlines()[:6] == [
+            "# boxweights 0.1.0",
+            "# param Q=2.0",
+            "# param class=ap",
+            "# param command=exponents",
+            "# param p=2.0",
+            "class,p,Q,s_minus,s_plus,a_lower,rh_upper",
+        ]
 
 
 class TestCharacteristicCommand:
@@ -412,6 +417,32 @@ class TestConclusionCheckCommand:
         assert rows[0] == "cells,value"
         assert rows[-1].startswith("verdict")
 
+    def test_grid_file_param_block(self, capsys, tmp_path, monkeypatch):
+        # the grid path stands for --alpha and --cells, which are left out
+        monkeypatch.chdir(tmp_path)
+        write_grid("g.txt", *power_weight_grid(0.5, 16))
+        code, _, _ = run(
+            capsys,
+            "conclusion-check", "--class", "ap", "--p", "2", "--Q", "1.3333333334", "--q", "1.5",
+            "--grid", "g.txt", "--levels", "2", "--out", "cc.csv",
+        )
+        assert code == 0
+        assert (tmp_path / "cc.csv").read_text().splitlines()[:13] == [
+            "# boxweights 0.1.0",
+            "# param Q=1.3333333334",
+            "# param class=ap",
+            "# param command=conclusion-check",
+            "# param grid=g.txt",
+            "# param levels=2",
+            "# param p=2.0",
+            "# param probe_class=ap",
+            "# param q=1.5",
+            "# param refine_factor=4",
+            "# param stability_rtol=0.01",
+            "cells,value",
+            "16,1.4899739909026695",
+        ]
+
     def test_requires_grid_or_alpha(self, capsys):
         code, _, err = run(
             capsys,
@@ -456,6 +487,37 @@ class TestExportCsv:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "export-csv", "--grid", "/no/such/file", "--out", "/tmp/x.csv")
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, command",
+    [
+        ("--cells", "sharpness --class ap --p 2 --Q 1.3 --side minus --cells 256,abc"),
+        ("--x1-range", "bellman-verify --class ap --p 2 --Q 2 --candidate builtin:linear --x1-range 1,2,3"),
+        ("--candidate", "bellman-verify --class ap --p 2 --Q 2 --candidate builtin:power:abc"),
+    ],
+    ids=["cells", "x1-range", "candidate"],
+)
+def test_malformed_option_value_exits_2(capsys, flag, command):
+    code, out, err = run(capsys, *shlex.split(command))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: bad {flag} ")
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_file_exits_2(capsys, tmp_path, case):
+    kind, text, _ = MALFORMED_FILES[case]
+    path = tmp_path / f"{kind}.txt"
+    path.write_text(text)
+    if kind == "grid":
+        command = ["characteristic", "--class", "ap", "--p", "2", "--grid", str(path)]
+    else:
+        command = ["bellman-verify", "--class", "ap", "--p", "2", "--Q", "2", "--candidate", str(path)]
+    code, out, err = run(capsys, *command)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 # Golden outputs of grids of more than one axis, written by the CLI before

@@ -43,7 +43,7 @@ from boxweights.grids import (
     uniform_measure,
 )
 
-from conftest import FIXTURE_DIR, REPO_ROOT, random_pair
+from conftest import FIXTURE_DIR, MALFORMED_FILES, REPO_ROOT, random_pair
 
 
 class TestValidate:
@@ -859,7 +859,7 @@ class TestChunkBoundaries:
             assert isinstance(whole[0], list)
             assert whole[1] == power_alpha
         else:
-            assert whole[0] == ("ValueError" if "float" in error else "PreconditionError")
+            assert whole[0] == "PreconditionError"
             assert whole[1].startswith(error)
         for chunk in range(1, 12):
             monkeypatch.setattr(grids, "_READ_CHUNK", chunk)
@@ -887,6 +887,22 @@ class TestChunkBoundaries:
         path.write_text(_GRID_HEAD.replace(" 3", " 10000000000000000") + "0 zz\n")
         with pytest.raises(PreconditionError, match="truncated grid file"):
             read_grid(path)
+
+
+class TestMalformedFiles:
+    """A malformed header token is refused by its keyword and file; a malformed float by its text."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+    def test_refused_as_precondition(self, tmp_path, case):
+        kind, text, keyword = MALFORMED_FILES[case]
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(text)
+        with pytest.raises(PreconditionError) as err:
+            (read_grid if kind == "grid" else read_candidate)(path)
+        if keyword is None:
+            assert str(err.value) == "could not convert string to float: 'zz'"
+        else:
+            assert str(err.value).startswith(f"bad '{keyword}' in {kind} file {path}: ")
 
 
 class TestFileMemory:
