@@ -7,11 +7,11 @@ exact real sum, which is what makes the prefix route bit-identical to an
 independent math.fsum oracle.
 
 All kernels are branch-free and work elementwise on numpy arrays.  Every
-box sum, of the scan, the splitter and a one-box query alike, goes through
-one reduction, dd_box_diffs: it reduces the other axes of a table, axis 0
-first and one dd_sub per axis, to prefix columns along the axis it keeps,
-and the sum is one dd_sub_rounded of two entries of a column.  Index arrays
-in its bounds reduce a batch of boxes with the same operations.
+box sum, of the scan, the splitter and a one-box query alike, reduces the
+other axes of a table, axis 0 first and one dd_sub per axis, to a prefix
+column along the axis it keeps, and is one dd_sub_rounded of two entries
+of that column.  dd_columns builds every batch of columns with the dd_sub
+sequence of the one-box loop in grids.PrefixTables.moment_sum.
 
 dd_prefix_tables sums one axis at a time with a cascade of cumulative sums
 (after Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J. Sci.
@@ -176,25 +176,28 @@ def dd_prefix_tables(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def dd_box_diffs(hi: np.ndarray, lo: np.ndarray, bounds):
-    """Differences of prefix entries along the bounded axes, axis 0 first.
+def dd_columns(hl: np.ndarray, pairs, digits) -> np.ndarray:
+    """Prefix columns (2, K, G, ...) of the tables hl (2, K, ...), one per set of leading ranges.
 
-    ``bounds[ax]`` is None to keep axis ``ax`` of the tables, or (a, b) to
-    replace entries b by entries b minus entries a, one dd_sub, which on a
-    prefix table sums the range [a, b) of the axis.  Int bounds drop the
-    axis; index arrays, which broadcast against each other, replace it by
-    their shape, each read with one take.  Axes beyond ``len(bounds)`` are
-    kept.  Every element of a batch runs the operations of its one-box
-    reduction, so it equals that reduction bit for bit.
+    ``pairs[j] = (ia, ib)`` are the ranges [ia, ib) of leading axis j and
+    ``digits[j][g]`` the index of column g's range on it; the columns are
+    distinct and in lexicographic order.  Axis 0 first, each leading axis is
+    reduced once per distinct prefix of ranges, one dd_sub of taken entries:
+    every column equals its one-box reduction bit for bit.  With no leading
+    axis the result is a view of the tables, one column.
     """
-    axis = 0
-    for bound in bounds:
-        if bound is None:
-            axis += 1
-            continue
-        a, b = (np.asarray(x) for x in bound)
-        ndim = max(a.ndim, b.ndim)
-        a, b = (x.reshape((1,) * (ndim - x.ndim) + x.shape) for x in (a, b))
-        hi, lo = dd_sub(hi.take(b, axis), lo.take(b, axis), hi.take(a, axis), lo.take(a, axis))
-        axis += ndim
-    return hi, lo
+    K, (h, l) = hl.shape[1], hl[:, :, None]
+    change, starts = False, np.zeros(1, dtype=np.intp)
+    for j, ((ia, ib), d) in enumerate(zip(pairs, digits)):
+        if j + 1 < len(pairs):
+            change = change | (d[1:] != d[:-1])
+            first = np.flatnonzero(np.concatenate(([True], change)))
+        else:  # distinct columns: on the last axis every column is a prefix of its own
+            first = np.arange(len(d))
+        # entries a and b of this axis under each parent, on the (parents x extent) axis
+        row = (np.searchsorted(starts, first, side="right") - 1) * h.shape[2]
+        a, b = row + ia[d[first]], row + ib[d[first]]
+        h, l = (x.reshape(K, -1, *x.shape[3:]) for x in (h, l))
+        h, l = dd_sub(h.take(b, 1), l.take(b, 1), h.take(a, 1), l.take(a, 1))
+        starts = first
+    return np.stack((h, l)) if pairs else hl[:, :, None]

@@ -377,9 +377,9 @@ def verify_candidate(
     found at the points before it.  The report is the one of evaluating the
     points one at a time in that order.
 
-    A PreconditionError refuses, before any draw, an x1_range where x1**r
-    or the x2 of gauge 1 or Q is not a positive double at an end: both are
-    monotone, so the ends bound every point.
+    A PreconditionError refuses, before any draw, an x1_range not 0 < low
+    <= high, or where x1**r or the x2 of gauge 1 or Q is not a positive
+    double at an end: both are monotone, so the ends bound every point.
     """
     p = region.p
     if not r_is_admissible(region.kind, p, region.Q, r):
@@ -388,6 +388,8 @@ def verify_candidate(
             f"{region.kind.value} with p={p.p}, Q={region.Q}"
         )
     evaluate = candidate.evaluate if hasattr(candidate, "evaluate") else candidate
+    if not 0.0 < x1_range[0] <= x1_range[1]:
+        raise PreconditionError(f"x1 range {x1_range} must satisfy 0 < low <= high")
     log_lo, log_hi = math.log(x1_range[0]), math.log(x1_range[1])
     try:  # x1**r and x2_at_gauge are monotone: the ends bound every point
         ends = [math.exp(log_lo), math.exp(log_hi)]

@@ -114,7 +114,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._summation import dd_box_diffs, dd_sub_rounded
+from ._summation import dd_columns, dd_sub_rounded
 from .errors import PreconditionError
 from .exponents import ClassKind, _as_pparam
 from .grids import BoxIdx, GridMeasure, PrefixTables, WeightGrid, moment_cells, validate
@@ -357,13 +357,10 @@ class _Incumbent:
 
 
 def _scan(tables, kind, q, s2):
-    tabs = (tables.mass_table, tables.table(1.0), tables.table(s2))
-    # hi and lo of the mass, w and w**s2 tables: shape (2, 3, cells + 1 per axis)
-    HL = np.array([[h for h, _ in tabs], [l for _, l in tabs]])
     best = _Incumbent()
     count = exact = 0
     with np.errstate(all="ignore"):
-        for hl, lead in _stacks(HL):
+        for hl, lead in _stacks(tables.stacked(None, 1.0, s2)):
             stack = _Stack(hl, kind, q)
             count += stack.count
             exact += _branch_and_bound(stack, lead, kind, q, best)
@@ -378,48 +375,33 @@ def _stacks(HL):
     Column g is the g-th leading range in lexicographic order: its pair on
     leading axis j is digit j of g in the mixed radix of the per-axis pair
     counts.  A stack is a run of columns within _STACK_BLOCK entries per
-    table (at least one), reduced by _columns _REDUCE_BLOCK entries at a
-    time; a stack of one such run is that run, in 1-D a view of the tables.
+    table (at least one), reduced by _summation.dd_columns _REDUCE_BLOCK
+    entries at a time; a stack of one such run is that run, in 1-D a view of
+    the tables.
     """
     pairs = [np.triu_indices(n, k=1) for n in HL.shape[2:-1]]
     radix = [len(ia) for ia, _ in pairs]
     cols, last = math.prod(radix), HL.shape[-1]
     per, step = (max(1, block // last) for block in (_STACK_BLOCK, _REDUCE_BLOCK))
+
+    def columns(c0, c1):
+        digits = np.unravel_index(np.arange(c0, c1), radix) if pairs else ()
+        return dd_columns(HL, pairs, digits).transpose(0, 1, 3, 2)
+
     for g0 in range(0, cols, per):
         g1 = min(g0 + per, cols)
         if g1 - g0 <= step:
-            hl = np.ascontiguousarray(_columns(HL, pairs, g0, g1).transpose(0, 1, 3, 2))
+            hl = np.ascontiguousarray(columns(g0, g1))
         else:
             hl = np.empty((2, 3, last, g1 - g0))
             for c0 in range(g0, g1, step):
                 c1 = min(c0 + step, g1)
-                hl[..., c0 - g0 : c1 - g0] = _columns(HL, pairs, c0, c1).transpose(0, 1, 3, 2)
+                hl[..., c0 - g0 : c1 - g0] = columns(c0, c1)
 
         def lead(k, g0=g0):
             return tuple((int(ia[d]), int(ib[d])) for (ia, ib), d in zip(pairs, np.unravel_index(g0 + k, radix)))
 
         yield hl, lead
-
-
-def _columns(HL, pairs, g0, g1):
-    """Prefix columns (2, 3, g1 - g0, n + 1) of the leading ranges g0 to g1 - 1 (see _stacks).
-
-    Axis 0 first, each leading axis is reduced once per distinct range prefix
-    of the run by one dd_box_diffs call on the tables viewed as (3, prefixes
-    x extent, ...): every column gets the dd_sub sequence of its one-box
-    reduction."""
-    hl, below, first = HL[:, :, None], math.prod(len(ia) for ia, _ in pairs), 0
-    for ia, ib in pairs:
-        r, n = len(ia), hl.shape[3]
-        below //= r
-        prefix = np.arange(g0 // below, (g1 - 1) // below + 1)
-        parent, digit = divmod(prefix, r)
-        # entries a and b of this axis under each parent, on the (parents x extent) axis
-        row = (parent - first) * n
-        flat = hl.reshape(2, 3, -1, *hl.shape[4:])
-        hl = np.stack(dd_box_diffs(flat[0], flat[1], (None, (row + ia[digit], row + ib[digit]))))
-        first = prefix[0]
-    return hl
 
 
 class _Stack:

@@ -501,7 +501,7 @@ def main(argv=None) -> int:
     except NumericFailureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (BoxweightsError, FileNotFoundError) as exc:
+    except (BoxweightsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._summation import dd_box_diffs, dd_prefix_tables, dd_sub_rounded, two_prod
+from ._summation import dd_prefix_tables, dd_sub, dd_sub_rounded, two_prod
 from .errors import PreconditionError, ZeroMeasureBoxError
 
 
@@ -193,6 +193,9 @@ def uniform_measure(shape) -> GridMeasure:
     """Uniform cell masses of total 1 on a uniform lattice over [0, 1] per axis."""
     if isinstance(shape, int):
         shape = (shape,)
+    for m in shape:
+        if m < 1:
+            raise PreconditionError(f"cell count must be >= 1, got {m}")
     bps = tuple(np.linspace(0.0, 1.0, m + 1) for m in shape)
     cells = int(np.prod(shape))
     mass = np.full(shape, 1.0 / cells)
@@ -406,9 +409,10 @@ class PrefixTables:
         record = self._record(s)
         return record.hi, record.lo
 
-    @property
-    def mass_table(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.table(None)
+    def stacked(self, *keys) -> np.ndarray:
+        """The hi and lo parts of the keyed tables, (2, len(keys), cells + 1 per axis), for dd_columns."""
+        tabs = [self.table(s) for s in keys]
+        return np.array([[h for h, _ in tabs], [l for _, l in tabs]])
 
     def precision_margin(self, s: float | None = None) -> float:
         """Certificate of the mass table (s None) or the w**s table.
@@ -421,10 +425,10 @@ class PrefixTables:
         below 2**52 q0), which is the condition under which
         _summation.dd_prefix_tables builds every entry as the normalised pair
         (RN(P), P - RN(P)) of its exact prefix sum; see that module for the
-        proof.  Every box sum goes through _summation.dd_box_diffs, whose
-        dd_sub per axis reduces the other axes of a box to a prefix column,
-        and one dd_sub_rounded of two entries of that column.  Every cell is
-        an integer multiple of q0, hence so is every sum and rounding error
+        proof.  Every box sum, moment_sum's and _summation.dd_columns's alike,
+        takes one dd_sub per axis to reduce the other axes of a box to a
+        prefix column, and one dd_sub_rounded of two entries of that column.
+        Every cell is an integer multiple of q0, hence so is every sum and rounding error
         of that arithmetic, and its low-order operations stay below 2**53 q0,
         so each dd_sub returns the normalised pair of its exact difference
         and every box sum, the scan's, the splitter's and mass_sum's and
@@ -458,9 +462,11 @@ class PrefixTables:
         """Exact sum of the mass (s None) or of w**s over the box; refused beyond the certificate."""
         self.certify(s)
         box.check_shape(self.measure.shape)
-        *lead, (a, b) = box.ranges
-        h, l = dd_box_diffs(*self.table(s), lead)
-        return float(dd_sub_rounded(h[b], l[b], h[a], l[a]))
+        *lead, (x, y) = box.ranges
+        h, l = self.table(s)
+        for a, b in lead:
+            h, l = dd_sub(h[b], l[b], h[a], l[a])
+        return float(dd_sub_rounded(h[y], l[y], h[x], l[x]))
 
 
 def box_average(measure, weight, box: BoxIdx, s: float, tables: PrefixTables | None = None) -> float:

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._summation import dd_box_diffs, dd_sub_rounded
+from ._summation import dd_columns, dd_sub_rounded
 from .characteristics import pair_gauge, second_moment_exponent
 from .errors import InfeasibleSplitError, PreconditionError, ZeroMeasureBoxError
 from .exponents import ClassKind, PParam, _as_pparam
@@ -249,34 +249,33 @@ def _single_cell(box: BoxIdx, axis: int) -> InfeasibleSplitError:
 _CALL_SAMPLES = 2**18
 
 
-def _columns(tables: PrefixTables, keys, ranges: np.ndarray, axes, span: np.ndarray):
-    """Prefix columns of the keyed tables along each box's axis, and each box's offset into them.
+def _columns(HL: np.ndarray, ranges: np.ndarray, axes: np.ndarray):
+    """Prefix columns (tables, 2, entries) along each box's axis, and each box's offset into them.
 
-    Boxes with the same axis and the same ranges on the other axes share a
-    column: one dd_box_diffs call per table reduces the other axes.  A
-    single column is returned as it is (in 1-D, the tables themselves);
-    otherwise the entries a..b of each box's [a, b) = span are concatenated.
-    Entry x of box j's column is entry x + offset[j] of the result.
+    ``HL`` stacks the tables (PrefixTables.stacked).  Per split axis, boxes
+    with the same ranges on the other axes share a column, and one
+    _summation.dd_columns call on the tables with that axis moved last
+    reduces them all.  Entry x of box j's column is entry x + offset[j] of
+    the result.
     """
-    n = len(ranges)
-    other = ranges.copy()
-    other[np.arange(n), axes] = -1
-    other = other.reshape(n, -1)
-    one = (other == other[0]).all()
-    groups, slot = (other[:1], None) if one else np.unique(other, axis=0, return_inverse=True)
-    columns = [
-        [dd_box_diffs(*tables.table(s), [None if a < 0 else (a, b) for a, b in group]) for s in keys]
-        for group in groups.reshape(len(groups), -1, 2).tolist()
-    ]
-    if one:
-        return columns[0], np.zeros(n, dtype=np.intp)
-    slot, (a, b) = slot.reshape(-1).tolist(), span.T.tolist()
-    joined = [
-        tuple(np.concatenate([columns[g][t][j][x:y + 1] for g, x, y in zip(slot, a, b)]) for j in (0, 1))
-        for t in range(len(keys))
-    ]
-    sizes = span[:, 1] - span[:, 0] + 1
-    return joined, np.cumsum(sizes) - sizes - span[:, 0]
+    parts, offset, start = [], np.zeros(len(ranges), dtype=np.intp), 0
+    for axis in np.flatnonzero(np.bincount(axes)).tolist():
+        on = np.flatnonzero(axes == axis)
+        # per other axis, the distinct ranges (a, b), coded a * extent + b, and
+        # each box's digit; slot ranks the digits so far, first[g] is slot g's first box
+        pairs, digits, slot, first = [], [], np.zeros(on.size, dtype=np.intp), [0]
+        for j in np.delete(np.arange(HL.ndim - 2), axis).tolist():
+            extent = HL.shape[j + 2]
+            codes, digit = np.unique(ranges[on, j] @ (extent, 1), return_inverse=True)
+            _, first, slot = np.unique(slot * codes.size + digit, return_index=True, return_inverse=True)
+            pairs.append(np.divmod(codes, extent))
+            digits.append(digit)
+        hl = dd_columns(np.moveaxis(HL, axis + 2, -1), pairs, [d[first] for d in digits])
+        offset[on] = start + slot * hl.shape[-1]
+        start += hl.shape[2] * hl.shape[3]
+        parts.append(hl.reshape(*hl.shape[:2], -1))
+    columns = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
+    return columns.swapaxes(0, 1), offset
 
 
 def _between(column, x, y):
@@ -340,9 +339,10 @@ def _first_stops(lam, ends, stop, owner, start, end, config: SplitConfig):
     return psi, first
 
 
-def _split_level(measure: GridMeasure, tables: PrefixTables, config: SplitConfig, boxes, ranges, axes):
+def _split_level(measure: GridMeasure, HL: np.ndarray, config: SplitConfig, boxes, ranges, axes):
     """One split search for the boxes of a tree level, each along its axis.
 
+    ``HL`` stacks the mass, w and w**s2 tables (PrefixTables.stacked), and
     ``ranges`` is the (n, ndim, 2) index array of the boxes.  Returns a dict
     of the errors of the boxes whose split fails, by box number (the error
     a one-box search meets first, in (|ratio - 1/2|, index) order), the
@@ -350,7 +350,6 @@ def _split_level(measure: GridMeasure, tables: PrefixTables, config: SplitConfig
     order, the points as (x1, x2); entries of failed boxes mean nothing.
     The tables must be certified.
     """
-    keys = (None, 1.0, config.moment_exponent)
     n = len(boxes)
     errors, index, fields = {}, np.zeros(n, dtype=np.intp), np.zeros((9, n))
     span = ranges[np.arange(n), axes]  # [a, b) along the axis
@@ -360,7 +359,7 @@ def _split_level(measure: GridMeasure, tables: PrefixTables, config: SplitConfig
     if not live.size:
         return errors, index, fields
     span = span[live]
-    columns, offset = _columns(tables, keys, ranges[live], axes[live], span)
+    columns, offset = _columns(HL, ranges[live], axes[live])
     a, b = (span[:, j] + offset for j in (0, 1))  # column indices
     total = _between(columns[0], a, b)
     for j in np.flatnonzero(total <= 0.0).tolist():
@@ -441,7 +440,7 @@ def choose_position(
     Feasible positions have child mass ratio in (c, 1-c) and segment maximum
     at most Q1.  This is the split search of build_tree on a one-box level:
     the other axes of the box are reduced once per table, mass, w and w**s2,
-    to a prefix column along the axis (_summation.dd_box_diffs); the sums of
+    to a prefix column along the axis (_summation.dd_columns); the sums of
     the box, of the left child of every position and of both children of
     the window positions are rounded differences of two entries of it
     (dd_sub_rounded).  The window is ordered by (|ratio - 1/2|, index); its
@@ -456,11 +455,14 @@ def choose_position(
     """
     tables = own_tables(measure, weight, tables)
     tables.certify(None, 1.0, config.moment_exponent)
+    if not 0 <= axis < box.ndim:
+        raise PreconditionError(f"axis {axis} is not an axis of the box {box}")
     a, b = box.ranges[axis]
     if b - a < 2:
         raise _single_cell(box, axis)
     box.check_shape(measure.shape)
-    errors, index, fields = _split_level(measure, tables, config, [box], np.array([box.ranges]), np.array([axis]))
+    HL = tables.stacked(None, 1.0, config.moment_exponent)
+    errors, index, fields = _split_level(measure, HL, config, [box], np.array([box.ranges]), np.array([axis]))
     if errors:
         raise errors[0]
     coord, ratio, smax, *xs, m_left, m_right = fields[:, 0].tolist()
@@ -507,6 +509,7 @@ def build_tree(
     if mass <= 0.0:
         raise ZeroMeasureBoxError(root_box)
     point = AvgPoint(tables.moment_sum(1.0, root_box) / mass, tables.moment_sum(s2, root_box) / mass)
+    HL = tables.stacked(None, 1.0, s2)
 
     levels: list[list[SplitNode]] = []
     # boxes, paths, masses and points of the level's nodes, in path order
@@ -521,7 +524,7 @@ def build_tree(
         split, grow = (), len(boxes)
         if level < config.levels:
             axes = np.argmax(lengths, axis=0)
-            errors, index, fields = _split_level(measure, tables, config, boxes, ranges, axes)
+            errors, index, fields = _split_level(measure, HL, config, boxes, ranges, axes)
             # A level's nodes come in path order, and all of them precede
             # every failure met so far: the level's first failure is the new
             # first one in preorder, and only the nodes before it grow on.

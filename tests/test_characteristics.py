@@ -509,7 +509,7 @@ def _surrogate_row_maxima(measure, weight, kind, q):
     """Per start a, the largest value of the boxes [a, b) on hi-only prefix differences."""
     s2 = second_moment_exponent(kind, q)
     tables = PrefixTables(measure, weight, (1.0, s2))
-    h = np.stack([tables.mass_table[0], tables.table(1.0)[0], tables.table(s2)[0]])
+    h = np.stack([tables.table(None)[0], tables.table(1.0)[0], tables.table(s2)[0]])
     with np.errstate(all="ignore"):
         return np.array(
             [characteristics._vec_values(kind, q, *(h[:, a + 1 :] - h[:, a, None])).max() for a in range(h.shape[1] - 1)]
@@ -702,9 +702,8 @@ class TestTileBranchAndBound:
             n = int(rng.integers(9, 70))
             measure, weight = _grid(rng.uniform(0.1, 1.0, n), np.exp(rng.normal(0.0, 1.5, n)))
             kind, q = (A, float(rng.uniform(1.3, 3.0))) if trial % 2 else (RH, float(rng.uniform(1.5, 6.0)))
-            tables = PrefixTables(measure, weight, (1.0, second_moment_exponent(kind, q)))
-            tabs = (tables.mass_table, tables.table(1.0), tables.table(second_moment_exponent(kind, q)))
-            ((hl, _),) = characteristics._stacks(np.array([[h for h, _ in tabs], [l for _, l in tabs]]))
+            tables = PrefixTables(measure, weight)
+            ((hl, _),) = characteristics._stacks(tables.stacked(None, 1.0, second_moment_exponent(kind, q)))
             stack = characteristics._Stack(hl, kind, q)
             a, b = np.triu_indices(n + 1, k=1)
             with np.errstate(all="ignore"):

@@ -505,6 +505,39 @@ def test_malformed_option_value_exits_2(capsys, flag, command):
     assert err.startswith(f"error: bad {flag} ")
 
 
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        ("make-grid --generator constant --cells 0 --out {dir}/z.txt", "cell count must be >= 1, got 0"),
+        ("make-grid --generator constant --cells -3 --out {dir}/z.txt", "cell count must be >= 1, got -3"),
+        ("make-grid --generator power --alpha 1 --cells 0 --out {dir}/z.txt", "cell count must be >= 1, got 0"),
+        ("bellman-verify --class ap --p 2 --Q 2 --candidate builtin:linear --x1-range=0,2",
+         "x1 range (0.0, 2.0) must satisfy 0 < low <= high"),
+        ("bellman-verify --class ap --p 2 --Q 2 --candidate builtin:linear --x1-range=-1,2",
+         "x1 range (-1.0, 2.0) must satisfy 0 < low <= high"),
+        ("bellman-verify --class ap --p 2 --Q 2 --candidate builtin:linear --x1-range=10,0.1",
+         "x1 range (10.0, 0.1) must satisfy 0 < low <= high"),
+        ("characteristic --class ap --p 2 --grid {dir}", "Is a directory"),
+        ("bellman-verify --class ap --p 2 --Q 2 --candidate {dir}", "Is a directory"),
+    ],
+    ids=["cells-0", "cells-negative", "power-cells-0", "x1-zero", "x1-negative", "x1-reversed",
+         "grid-directory", "candidate-directory"],
+)
+def test_refused_input_exits_2(capsys, tmp_path, command, error):
+    code, out, err = run(capsys, *shlex.split(command.format(dir=tmp_path)))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and error in err
+    assert not (tmp_path / "z.txt").exists()
+
+
+def test_single_point_x1_range_runs(capsys):
+    code, out, _ = run(capsys, "bellman-verify", "--class", "ap", "--p", "2", "--Q", "2",
+                       "--candidate", "builtin:linear", "--x1-range", "1,1")
+    assert code == 0
+    assert "verdict=pass" in out
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
 def test_malformed_file_exits_2(capsys, tmp_path, case):
     kind, text, _ = MALFORMED_FILES[case]

@@ -30,7 +30,7 @@ from boxweights import (
 from boxweights import grids
 from boxweights.bellman import BellmanCandidate, CandidateTable, read_candidate, write_candidate
 from boxweights.errors import PreconditionError, ZeroMeasureBoxError
-from boxweights._summation import dd_add, dd_box_diffs, dd_prefix_tables, dd_sub, dd_sub_rounded, two_prod
+from boxweights._summation import dd_add, dd_columns, dd_prefix_tables, dd_sub, dd_sub_rounded, two_prod
 from boxweights.grids import (
     _parse_float,
     _parse_floats,
@@ -146,7 +146,7 @@ class TestScanWeight:
         given = PrefixTables(measure, weight)
         tables = scan_tables(measure, weight, (1.0, 10.0), given)
         assert tables is not given and tables.weight is not weight
-        for mine, theirs in zip(tables.table(None), given.mass_table):
+        for mine, theirs in zip(tables.table(None), given.table(None)):
             assert mine is theirs
 
 
@@ -392,42 +392,45 @@ class TestBoxDiffs:
                 assert same.all(), np.flatnonzero(~same)[:5]
 
     def test_scan_style_batches_equal_one_box_reductions(self):
-        # The scan's bounds: a start and every end on axis 0, every (a, b)
-        # pair of each middle axis, the last axis kept, three tables stacked
-        # on a kept leading axis.  Each element equals the one-box reduction
-        # bit for bit, on tables far beyond the certificate too.
+        # The scan's columns: every (a, b) pair of each leading axis in mixed
+        # radix, the last axis kept, three tables stacked.  Whole runs and
+        # sparse sorted subsets of the columns equal the one-box loop of
+        # PrefixTables.moment_sum bit for bit, on tables far beyond the
+        # certificate too.
         rng = np.random.default_rng(31)
         checked = 0
-        for ndim in (1, 2, 3):
-            for _ in range(12):
-                shape = tuple(int(n) for n in rng.integers(1, 7, ndim))
+        for ndim in (1, 2, 3, 4):
+            for _ in range(10):
+                shape = tuple(int(n) for n in rng.integers(1, 6 if ndim < 4 else 4, ndim))
                 cells = np.exp(rng.uniform(-300.0, 300.0, (3, *shape))) * (rng.random((3, *shape)) < 0.8)
                 hi, lo = (np.stack(t) for t in zip(*map(dd_prefix_tables, cells)))
-                ext = hi.shape[1:]
+                hl = np.stack([hi, lo])
                 if ndim == 1:
-                    ia, ib = np.triu_indices(ext[0], k=1)
-                    h, l = dd_box_diffs(hi, lo, (None, (ia, ib)))
-                    for k, (a, b) in enumerate(zip(ia.tolist(), ib.tolist())):
-                        one = dd_box_diffs(hi, lo, (None, (a, b)))
-                        assert [h[:, k].tobytes(), l[:, k].tobytes()] == [x.tobytes() for x in one]
-                        checked += 1
+                    column = dd_columns(hl, [], ())
+                    assert column.shape == (2, 3, 1, shape[0] + 1) and np.shares_memory(column, hl)
+                    assert (column[:, :, 0] == hl).all()
                     continue
-                pairs = [np.triu_indices(n, k=1) for n in ext[1:-1]]
-                for a in range(ext[0] - 1):
-                    h, l = dd_box_diffs(hi, lo, (None, (a, np.arange(a + 1, ext[0])), *pairs))
-                    for idx in np.ndindex(h.shape[1:-1]):
-                        ranges = [(a, a + 1 + idx[0])]
-                        ranges += [(int(ia[k]), int(ib[k])) for (ia, ib), k in zip(pairs, idx[1:])]
-                        one = dd_box_diffs(hi, lo, (None, *ranges))
-                        got = (h[(slice(None), *idx)], l[(slice(None), *idx)])
-                        assert [x.tobytes() for x in got] == [x.tobytes() for x in one]
+                pairs = [np.triu_indices(n + 1, k=1) for n in shape[:-1]]
+                radix = [len(ia) for ia, _ in pairs]
+                every = np.arange(math.prod(radix))
+                for g in (every, every[(rng.random(every.size) < 0.3) | (every == every.size // 2)], every[-1:]):
+                    digits = np.unravel_index(g, radix)
+                    got = dd_columns(hl, pairs, digits)
+                    assert got.shape == (2, 3, g.size, shape[-1] + 1)
+                    for col, digit in enumerate(zip(*digits)):
+                        ranges = [(int(ia[d]), int(ib[d])) for (ia, ib), d in zip(pairs, digit)]
+                        for k in range(3):
+                            h, l = hi[k], lo[k]
+                            for a, b in ranges:
+                                h, l = dd_sub(h[b], l[b], h[a], l[a])
+                            assert [got[0, k, col].tobytes(), got[1, k, col].tobytes()] == [h.tobytes(), l.tobytes()]
                         checked += 1
         assert checked >= 1000
 
     def test_certified_sums_are_the_exact_sum_rounded_once(self):
-        # Whichever axis is kept (the splitter's columns; the last is
-        # mass_sum's and the scan's), every box sum of a certified table is
-        # the exact Fraction sum rounded once.
+        # Whichever axis is kept, moved last as the splitter moves it (the
+        # last is moment_sum's and the scan's), every box sum of a certified
+        # table is the exact Fraction sum rounded once.
         rng = np.random.default_rng(32)
         tables = 0
         for ndim, top, count in ((1, 13, 60), (2, 7, 40), (3, 5, 20)):
@@ -451,16 +454,25 @@ class TestBoxDiffs:
                 if not prefix.precision_margin() < 1.0:
                     continue
                 tables += 1
-                hi, lo = prefix.mass_table
+                hl = prefix.stacked(None)
+                combos = [list(itertools.combinations(range(m + 1), 2)) for m in shape]
+                # every set of ranges of the other axes, for each kept axis
+                columns = []
+                for keep in range(ndim):
+                    pairs = [tuple(np.array(c).T) for c in combos[:keep] + combos[keep + 1:]]
+                    radix = [len(c) for c in combos[:keep] + combos[keep + 1:]]
+                    digits = np.unravel_index(np.arange(math.prod(radix)), radix) if radix else ()
+                    columns.append(dd_columns(np.moveaxis(hl, keep + 2, -1), pairs, digits)[:, 0])
                 exact = _exact_prefix(cells)
-                for ranges in itertools.product(*(itertools.combinations(range(m + 1), 2) for m in shape)):
+                for index in itertools.product(*(range(len(c)) for c in combos)):
+                    ranges = tuple(c[i] for c, i in zip(combos, index))
                     want = float(_exact_box_sum(exact, ranges))
                     assert prefix.mass_sum(BoxIdx(ranges)) == want
-                    for keep in range(ndim):
-                        bounds = [None if ax == keep else r for ax, r in enumerate(ranges)]
-                        h, l = dd_box_diffs(hi, lo, bounds)
+                    for keep, (h, l) in enumerate(columns):
+                        other = index[:keep] + index[keep + 1:]
+                        g = int(np.ravel_multi_index(other, [len(c) for c in combos[:keep] + combos[keep + 1:]])) if other else 0
                         a, b = ranges[keep]
-                        assert float(dd_sub_rounded(h[b], l[b], h[a], l[a])) == want, (ranges, keep)
+                        assert float(dd_sub_rounded(h[g, b], l[g, b], h[g, a], l[g, a])) == want, (ranges, keep)
         assert tables >= 100
 
 

@@ -160,6 +160,14 @@ class TestChoosePosition:
         assert choice.coord == 0.5
         assert choice.ratio == 0.5
 
+    @pytest.mark.parametrize("axis", [-1, 2])
+    def test_axis_outside_the_box_is_refused(self, axis):
+        # axis -1 read as the last axis gave split_coord 0.0, breakpoint 0 of no axis
+        measure = uniform_measure((6, 8))
+        weight = WeightGrid(np.ones((6, 8)))
+        with pytest.raises(PreconditionError, match=f"axis {axis} is not an axis of the box 0:6;0:8"):
+            choose_position(measure, weight, BoxIdx.full((6, 8)), axis, config(Q=1.5, Q1=3.0))
+
     def test_infeasible_reports_best_ratio(self):
         measure = GridMeasure(
             (np.linspace(0, 1, 5),), np.array([0.7, 0.1, 0.1, 0.1])
@@ -456,7 +464,7 @@ def _ref_box_sum(hi, lo, ranges):
 
 
 def _ref_point(tables, box, s2):
-    m = _ref_box_sum(*tables.mass_table, box.ranges)
+    m = _ref_box_sum(*tables.table(None), box.ranges)
     if m <= 0.0:
         raise ZeroMeasureBoxError(box)
     x1 = _ref_box_sum(*tables.table(1.0), box.ranges) / m
@@ -487,13 +495,13 @@ def _ref_choose(measure, box, axis, config, tables):
         raise InfeasibleSplitError(
             f"box {box} has a single cell along axis {axis}; no interior breakpoint", box=box
         )
-    total = _ref_box_sum(*tables.mass_table, box.ranges)
+    total = _ref_box_sum(*tables.table(None), box.ranges)
     if total <= 0.0:
         raise ZeroMeasureBoxError(box)
     positions = []
     for k in range(a + 1, b):
         left, _ = _ref_split_box(box, axis, k)
-        positions.append((k, _ref_box_sum(*tables.mass_table, left.ranges) / total))
+        positions.append((k, _ref_box_sum(*tables.table(None), left.ranges) / total))
     best_any = min(positions, key=lambda kr: (abs(kr[1] - 0.5), kr[0]))
     window = [kr for kr in positions if config.c < kr[1] < 1.0 - config.c]
     window.sort(key=lambda kr: (abs(kr[1] - 0.5), kr[0]))
@@ -622,6 +630,23 @@ class TestBatchedSplitterAgainstLoop:
         # both built trees and infeasible nodes are covered
         assert {"ok", "InfeasibleSplitError"} <= kinds
 
+    def test_deep_3d_tree_of_many_columns(self):
+        # 12 x 10 x 8 cells of lognormal masses and weight, 7 levels: at the
+        # deepest split level most boxes have a column of their own
+        rng = np.random.default_rng(7)
+        shape = (12, 10, 8)
+        bps = tuple(np.cumsum(np.r_[0.0, rng.uniform(0.2, 2.0, n)]) for n in shape)
+        measure = GridMeasure(bps, np.exp(rng.uniform(-2.0, 2.0, shape)))
+        weight = WeightGrid(np.exp(rng.uniform(-1.0, 1.0, shape)))
+        for kind, p in ((A, 2.0), (ClassKind.REVERSE_HOLDER, 2.5)):
+            cfg = config(kind=kind, p=p, Q=2.0, Q1=20.0, c=0.1, levels=7)
+            got = _outcome(lambda: _records(build_tree(measure, weight, cfg)))
+            assert got == _outcome(lambda: _ref_tree(measure, weight, cfg))
+            assert got[0] == "ok"
+            deepest = build_tree(measure, weight, cfg).levels[6]
+            columns = {(n.axis, n.box.ranges[:n.axis] + n.box.ranges[n.axis + 1:]) for n in deepest}
+            assert 2 * len(columns) > len(deepest) == 64
+
     def test_benchmark_power_trees(self):
         measure, weight = power_weight_grid(0.5, 512)
         for factor in (1.5, 1.0005):
@@ -673,13 +698,14 @@ class TestBatchedSplitterAgainstLoop:
         weight = WeightGrid(np.array([2.0, 1.0, 1.0, 3.0]))
         cfg = config(Q=1.0001, Q1=Q1, levels=1)
         tables = PrefixTables(measure, weight, (1.0, cfg.moment_exponent))
-        mass_hi = tables.mass_table[0]
+        mass_hi = tables.table(None)[0]
         between, ref_box_sum = splitting._between, _ref_box_sum
 
         def patched_between(column, x, y):
             sums = between(column, x, y)
             hit = (np.asarray(x) == zero_at) & (np.asarray(y) == 4)
-            return np.where(hit, 0.0, sums) if column[0] is mass_hi else sums
+            # the mass column of this 1-D tree holds the mass table's entries
+            return np.where(hit, 0.0, sums) if np.array_equal(column[0], mass_hi) else sums
 
         def patched_ref(hi, lo, ranges):
             return 0.0 if hi is mass_hi and ranges == ((zero_at, 4),) else ref_box_sum(hi, lo, ranges)
